@@ -370,10 +370,6 @@ fn main() {
     let data_units = store.data_units();
     let alpha = store.spec().alpha();
     let server_cfg = ServerConfig {
-        workers: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(4, 16),
         global_inflight: (cfg.clients * 2).max(64),
         session_inflight: 4,
         ..ServerConfig::default()

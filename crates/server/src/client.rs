@@ -1,14 +1,17 @@
 //! Synchronous fault-tolerant client.
 //!
-//! One [`Client`] is one session with one request outstanding at a
-//! time (drive many clients from many threads for pipelining — that is
-//! what the server's per-session caps are scoped for). The fault
-//! tolerance lives in the request path: a broken socket triggers
-//! reconnect with capped exponential backoff plus seeded jitter, a
-//! fresh `HELLO` resuming the same session, and a re-issue of the
-//! interrupted request under its original `req_id` — safe because data
-//! ops are idempotent and the server replays recorded outcomes for the
-//! rest. `Overloaded` responses are retried the same way (nothing
+//! One [`Client`] is one session on one connection with one request
+//! outstanding at a time. The server executes a connection's requests
+//! one after another on that connection's thread, so parallelism comes
+//! from more clients on more threads — that is what the server's
+//! in-flight caps count.
+//!
+//! The fault tolerance lives in the request path: a broken socket
+//! triggers reconnect with capped exponential backoff plus seeded
+//! jitter, a fresh `HELLO` resuming the same session, and a re-issue of
+//! the interrupted request under its original `req_id` — safe because
+//! data ops are idempotent and the server replays recorded outcomes for
+//! the rest. `Overloaded` responses are retried the same way (nothing
 //! executed server-side); `Deadline` and other typed failures are
 //! returned to the caller, who owns that policy.
 
@@ -16,7 +19,7 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::protocol::{encode_request, read_frame, Opcode, RequestHeader, ResponseHeader, Status};
+use crate::protocol::{encode_request, read_response, Opcode, RequestHeader, Status};
 
 /// Tunables for [`Client::connect`].
 #[derive(Debug, Clone)]
@@ -306,18 +309,7 @@ impl Client {
             .as_mut()
             .expect("ensure_connected ran before exchange");
         stream.write_all(frame)?;
-        let response = read_frame(stream)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-request",
-            )
-        })?;
-        let Some((header, body)) = ResponseHeader::decode(&response) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unparseable response header",
-            ));
-        };
+        let (header, body) = read_response(stream)?;
         if header.req_id != req_id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -327,7 +319,7 @@ impl Client {
                 ),
             ));
         }
-        Ok((header.status, body.to_vec()))
+        Ok((header.status, body))
     }
 
     /// Establishes the socket and performs `HELLO`, with capped
@@ -372,18 +364,7 @@ impl Client {
             &[],
         );
         stream.write_all(&hello)?;
-        let response = read_frame(&mut stream)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed during HELLO",
-            )
-        })?;
-        let Some((header, body)) = ResponseHeader::decode(&response) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unparseable HELLO response",
-            ));
-        };
+        let (header, body) = read_response(&mut stream)?;
         if header.status != Status::Ok || body.len() != 8 {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,

@@ -6,8 +6,8 @@
 //! is where that claim meets traffic: a long-running TCP server
 //! ([`Server`]) wraps one shared [`decluster_store::BlockStore`] behind
 //! a compact length-prefixed binary protocol ([`protocol`]) with
-//! per-connection sessions, bounded pipelining, per-request deadlines,
-//! and admission control — so an operator can fail a disk, install a
+//! sessions that outlive connections, per-request deadlines, and
+//! admission control — so an operator can fail a disk, install a
 //! replacement, and rebuild online over admin RPCs while data requests
 //! keep flowing, and every client sees typed degradation
 //! ([`protocol::Status`]) instead of hangs or dropped connections.

@@ -206,8 +206,14 @@ impl ResponseHeader {
     /// Encodes the header into the first [`RESPONSE_HEADER_BYTES`] of a
     /// frame payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.req_id.to_le_bytes());
-        out.push(self.status as u8);
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    fn to_bytes(self) -> [u8; RESPONSE_HEADER_BYTES] {
+        let mut bytes = [0u8; RESPONSE_HEADER_BYTES];
+        bytes[0..8].copy_from_slice(&self.req_id.to_le_bytes());
+        bytes[8] = self.status as u8;
+        bytes
     }
 
     /// Decodes a frame payload into the header and its body slice.
@@ -237,21 +243,92 @@ pub fn encode_request(header: &RequestHeader, body: &[u8]) -> Vec<u8> {
 
 /// Builds a complete response frame (length prefix included).
 pub fn encode_response(header: &ResponseHeader, body: &[u8]) -> Vec<u8> {
-    let len = RESPONSE_HEADER_BYTES + body.len();
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    header.encode(&mut out);
-    out.extend_from_slice(body);
-    out
+    let mut frame = ResponseFrame::new();
+    frame.set_body(body);
+    frame.finish(header);
+    frame.buf
+}
+
+/// Bytes ahead of a response body on the wire: length prefix + header.
+const RESPONSE_PREFIX_BYTES: usize = 4 + RESPONSE_HEADER_BYTES;
+
+/// A reusable response frame built in place. The length prefix and
+/// header slots are reserved up front, so a body (READ data above all)
+/// is produced directly behind them and the whole frame leaves in one
+/// write — no per-response allocation, no body copy.
+#[derive(Debug)]
+pub(crate) struct ResponseFrame {
+    /// Never shorter than [`RESPONSE_PREFIX_BYTES`].
+    buf: Vec<u8>,
+}
+
+impl ResponseFrame {
+    pub fn new() -> ResponseFrame {
+        ResponseFrame {
+            buf: vec![0; RESPONSE_PREFIX_BYTES],
+        }
+    }
+
+    /// Sizes the body to `len` bytes and hands it out for filling. The
+    /// contents are unspecified (zeroes, or bytes of the body before):
+    /// the caller must overwrite all of it or replace the body.
+    pub fn body_mut(&mut self, len: usize) -> &mut [u8] {
+        self.buf.resize(RESPONSE_PREFIX_BYTES + len, 0);
+        &mut self.buf[RESPONSE_PREFIX_BYTES..]
+    }
+
+    pub fn set_body(&mut self, body: &[u8]) {
+        self.buf.truncate(RESPONSE_PREFIX_BYTES);
+        self.buf.extend_from_slice(body);
+    }
+
+    pub fn body(&self) -> &[u8] {
+        &self.buf[RESPONSE_PREFIX_BYTES..]
+    }
+
+    /// Writes the length prefix and `header` ahead of the current body
+    /// and returns the complete frame.
+    pub fn finish(&mut self, header: &ResponseHeader) -> &[u8] {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[0..4].copy_from_slice(&len.to_le_bytes());
+        self.buf[4..RESPONSE_PREFIX_BYTES].copy_from_slice(&header.to_bytes());
+        &self.buf
+    }
+
+    /// See [`trim`].
+    pub fn trim(&mut self) {
+        trim(&mut self.buf);
+    }
+}
+
+/// What a per-connection buffer may keep allocated between requests.
+const RETAINED_BYTES: usize = 64 << 10;
+
+/// Gives back a reused connection buffer's memory past
+/// [`RETAINED_BYTES`], so one frame near [`MAX_FRAME`] does not pin
+/// megabytes for as long as its connection stays open.
+pub(crate) fn trim(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_BYTES {
+        buf.truncate(RETAINED_BYTES);
+        buf.shrink_to(RETAINED_BYTES);
+    }
 }
 
 /// Reads one frame payload off `stream`. `Ok(None)` is a clean EOF at
 /// a frame boundary; an EOF mid-frame or a length above [`MAX_FRAME`]
 /// is an error.
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut frame = Vec::new();
+    Ok(read_frame_into(stream, &mut frame)?.then_some(frame))
+}
+
+/// [`read_frame`] into a caller-owned buffer, which is resized to the
+/// payload: `Ok(false)` is the clean EOF. A connection loop reuses one
+/// buffer so steady-state reads allocate nothing.
+pub fn read_frame_into(stream: &mut impl Read, frame: &mut Vec<u8>) -> io::Result<bool> {
     let mut len = [0u8; 4];
     match stream.read(&mut len) {
-        Ok(0) => return Ok(None),
+        Ok(0) => return Ok(false),
         Ok(n) => stream.read_exact(&mut len[n..])?,
         Err(e) if e.kind() == io::ErrorKind::Interrupted => stream.read_exact(&mut len)?,
         Err(e) => return Err(e),
@@ -263,9 +340,28 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut frame = vec![0u8; len];
-    stream.read_exact(&mut frame)?;
-    Ok(Some(frame))
+    // No clear(): only growth is zero-filled, the rest is overwritten.
+    frame.resize(len, 0);
+    stream.read_exact(frame)?;
+    Ok(true)
+}
+
+/// Reads one response frame off `stream`: the header, and the body
+/// straight into the allocation handed back (no intermediate frame
+/// buffer to copy it out of).
+pub fn read_response(stream: &mut impl Read) -> io::Result<(ResponseHeader, Vec<u8>)> {
+    let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
+    let mut prefix = [0u8; RESPONSE_PREFIX_BYTES];
+    stream.read_exact(&mut prefix)?;
+    let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]) as usize;
+    if !(RESPONSE_HEADER_BYTES..=MAX_FRAME).contains(&len) {
+        return Err(invalid(format!("response frame of {len} bytes")));
+    }
+    let (header, _) = ResponseHeader::decode(&prefix[4..])
+        .ok_or_else(|| invalid("unparseable response header".to_string()))?;
+    let mut body = vec![0u8; len - RESPONSE_HEADER_BYTES];
+    stream.read_exact(&mut body)?;
+    Ok((header, body))
 }
 
 /// Writes one pre-encoded frame (from [`encode_request`] /
@@ -308,6 +404,47 @@ mod tests {
         let (decoded, body) = ResponseHeader::decode(&frame[4..]).unwrap();
         assert_eq!(decoded, header);
         assert_eq!(body, b"too late");
+    }
+
+    #[test]
+    fn response_frame_is_reusable_and_gives_memory_back() {
+        let header = ResponseHeader {
+            req_id: 9,
+            status: Status::Ok,
+        };
+        let mut frame = ResponseFrame::new();
+        frame.body_mut(MAX_FRAME / 2).fill(0xAB);
+        assert_eq!(
+            frame.finish(&header).len(),
+            4 + RESPONSE_HEADER_BYTES + MAX_FRAME / 2
+        );
+        frame.trim();
+        assert!(frame.buf.capacity() <= RETAINED_BYTES);
+        // The next, smaller response carries nothing of the one before.
+        frame.set_body(b"ok");
+        assert_eq!(frame.finish(&header), &encode_response(&header, b"ok")[..]);
+        let mut wire: &[u8] = frame.finish(&header);
+        assert_eq!(read_response(&mut wire).unwrap(), (header, b"ok".to_vec()));
+    }
+
+    #[test]
+    fn response_reader_rejects_impossible_lengths() {
+        for len in [0u32, RESPONSE_HEADER_BYTES as u32 - 1, MAX_FRAME as u32 + 1] {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[0u8; RESPONSE_HEADER_BYTES]);
+            let err = read_response(&mut &wire[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {len}");
+        }
+        // A body cut short is an EOF, not a short success.
+        let frame = encode_response(
+            &ResponseHeader {
+                req_id: 1,
+                status: Status::Ok,
+            },
+            b"whole body",
+        );
+        let err = read_response(&mut &frame[..frame.len() - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

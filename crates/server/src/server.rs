@@ -1,44 +1,49 @@
 //! The TCP block server.
 //!
-//! Thread shape: one accept thread, one reader + one writer thread per
-//! connection, and a fixed pool of executor workers shared by every
-//! connection. Readers do no I/O against the store — they parse,
-//! admission-check, and enqueue; workers execute against the shared
-//! [`BlockStore`] and hand the encoded response to the owning
-//! connection's writer channel. A connection dying at any point leaves
-//! nothing stuck: its jobs still run, their tickets release on drop,
-//! and their responses fail harmlessly into the closed channel.
+//! Thread shape: one accept thread and one thread per connection, which
+//! does the whole request — read the frame, decode, the drain / replay /
+//! admission checks, execute against the shared [`BlockStore`], and
+//! write the response on the same socket. There is no queue inside the
+//! server and no hand-off between threads.
+//!
+//! What that means for callers: requests pipelined on *one* connection
+//! are executed in arrival order and answered in that order, and what
+//! has not been read yet waits in the socket buffer — TCP back-pressure
+//! is the only queue. Concurrency is across connections: the in-flight
+//! caps count connections executing at once (a session still spans any
+//! number of connections). A connection dying at any point leaves
+//! nothing stuck: its ticket releases when its thread unwinds, and a
+//! peer that stops reading is dropped after [`WRITE_TIMEOUT`].
 //!
 //! Degradation guarantees (the reason this crate exists):
 //!
 //! * **Deadlines** — a request carrying a `deadline_us` budget is
-//!   answered with [`Status::Deadline`] if the budget expires while it
-//!   is queued *or* while it is executing. The reply is immediate at
-//!   the next check point; the server never goes silent on a request.
-//! * **Admission** — past the global or per-session in-flight cap, or
-//!   past the executor queue's high watermark, requests are refused
-//!   with [`Status::Overloaded`] before any store work happens. The
-//!   accept loop never stalls on a slow store.
+//!   checked before execution and after; if the budget has expired it
+//!   is answered with [`Status::Deadline`] instead of the result. The
+//!   server never goes silent on a request.
+//! * **Admission** — past the global or per-session in-flight cap,
+//!   requests are refused with [`Status::Overloaded`] before any store
+//!   work happens. The accept loop never stalls on a slow store.
 //! * **Drain** — shutdown (RPC or [`Server::stop`]) flips the server
 //!   into draining: new requests get [`Status::ShuttingDown`], admitted
-//!   ones complete and their responses flush before sockets close.
+//!   ones complete and their responses are written before sockets
+//!   close.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::collections::HashMap;
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use decluster_store::{BlockStore, RebuildReport, ScrubReport, StoreError, BLOCK_BYTES};
 
 use crate::protocol::{
-    encode_response, read_frame, Opcode, RequestHeader, ResponseHeader, Status, MAX_FRAME,
+    read_frame_into, trim, Opcode, RequestHeader, ResponseFrame, ResponseHeader, Status, MAX_FRAME,
     RESPONSE_HEADER_BYTES,
 };
-use crate::session::{lock, Admission, Session, SessionTable, Ticket};
+use crate::session::{lock, Admission, Session, SessionTable};
 
 /// Tunables for [`Server::spawn`].
 #[derive(Debug, Clone)]
@@ -46,16 +51,12 @@ pub struct ServerConfig {
     /// Bind address; the default asks the OS for a free port on
     /// loopback ([`Server::addr`] reports what it got).
     pub addr: String,
-    /// Executor worker threads shared by all connections.
-    pub workers: usize,
-    /// Global in-flight request cap across every session.
+    /// Global cap on requests executing at once, across every session.
     pub global_inflight: usize,
-    /// Per-session in-flight cap — the pipelining bound one client can
-    /// reach regardless of how idle the rest of the server is.
+    /// Per-session cap on requests executing at once — what one client
+    /// can reach over several connections regardless of how idle the
+    /// rest of the server is.
     pub session_inflight: usize,
-    /// Executor queue depth past which admitted-but-unqueued requests
-    /// are shed with `Overloaded` even below the in-flight caps.
-    pub queue_high: usize,
     /// Non-idempotent outcomes remembered per session for replay.
     pub replay_cap: usize,
 }
@@ -64,64 +65,47 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             global_inflight: 256,
             session_inflight: 32,
-            queue_high: 512,
             replay_cap: 1024,
         }
     }
 }
 
-const RUNNING: u8 = 0;
-const DRAINING: u8 = 1;
-const STOPPED: u8 = 2;
-
-/// One admitted request travelling from a reader to a worker.
-struct Job {
-    session: Arc<Session>,
-    ticket: Ticket,
-    header: RequestHeader,
-    body: Vec<u8>,
-    received: Instant,
-    reply: Sender<Vec<u8>>,
-}
+/// How long one response write may make no progress before the peer
+/// counts as stuck. The connection thread holds the request's ticket
+/// while it writes, so a client that stops reading must not be able to
+/// park it forever: on expiry the connection is dropped, which releases
+/// the ticket.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 struct Shared {
     store: Arc<BlockStore>,
-    cfg: ServerConfig,
     addr: SocketAddr,
     sessions: SessionTable,
     admission: Arc<Admission>,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
-    state: AtomicU8,
+    /// Set once a shutdown has begun; never cleared.
+    draining: AtomicBool,
     /// Socket clones of live connections, for shutdown and
     /// [`Server::disconnect_all`].
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn: AtomicU64,
+    /// Connection threads not yet joined; the accept loop reaps the
+    /// finished ones, [`Server::stop`] joins the rest.
     handler_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
-    fn state(&self) -> u8 {
-        self.state.load(Ordering::Acquire)
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::Acquire)
     }
 
     /// Flips running → draining (idempotent) and pokes the accept loop
     /// awake with a throwaway connection so it can observe the flip.
     fn begin_drain(&self) {
-        if self
-            .state
-            .compare_exchange(RUNNING, DRAINING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
+        if !self.draining.swap(true, Ordering::AcqRel) {
             let _ = TcpStream::connect(self.addr);
         }
-    }
-
-    fn queue_len(&self) -> usize {
-        lock(&self.queue).len()
     }
 }
 
@@ -130,11 +114,10 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the accept loop and worker pool, and returns.
+    /// Binds, spawns the accept loop, and returns.
     ///
     /// # Errors
     ///
@@ -145,28 +128,18 @@ impl Server {
         let shared = Arc::new(Shared {
             sessions: SessionTable::new(cfg.replay_cap),
             admission: Arc::new(Admission::new(cfg.global_inflight, cfg.session_inflight)),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            state: AtomicU8::new(RUNNING),
+            draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             handler_threads: Mutex::new(Vec::new()),
             store,
             addr,
-            cfg,
         });
-        let worker_threads = (0..shared.cfg.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(&accept_shared, &listener));
         Ok(Server {
             shared,
             accept_thread: Some(accept_thread),
-            worker_threads,
         })
     }
 
@@ -177,7 +150,7 @@ impl Server {
 
     /// Whether a shutdown has begun (RPC or [`Server::begin_shutdown`]).
     pub fn draining(&self) -> bool {
-        self.shared.state() != RUNNING
+        self.shared.draining()
     }
 
     /// Starts a graceful shutdown without waiting for it.
@@ -212,9 +185,9 @@ impl Server {
     }
 
     /// Drains and stops the server: in-flight requests complete and
-    /// their responses flush, then sockets close, threads join, and —
-    /// if this handle holds the last reference — the store is closed
-    /// cleanly (flushed otherwise).
+    /// their responses are written, then sockets close, threads join,
+    /// and — if this handle holds the last reference — the store is
+    /// closed cleanly (flushed otherwise).
     ///
     /// # Errors
     ///
@@ -225,24 +198,16 @@ impl Server {
         // Drain: admitted work finishes. Generously bounded so a
         // wedged disk cannot hang an operator's shutdown forever.
         let drain_deadline = Instant::now() + Duration::from_secs(60);
-        while (self.shared.admission.in_flight() > 0 || self.shared.queue_len() > 0)
-            && Instant::now() < drain_deadline
-        {
+        while self.shared.admission.in_flight() > 0 && Instant::now() < drain_deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.shared.state.store(STOPPED, Ordering::Release);
-        self.queue_cv_notify_all();
-        for worker in self.worker_threads.drain(..) {
-            let _ = worker.join();
-        }
-        // Close sockets to kick idle readers, then join the handlers;
-        // their writers have already flushed every drained response.
-        self.disconnect_all();
+        // The accept loop first, so it cannot register a connection
+        // behind our back; then close the sockets to kick connection
+        // threads out of their reads. Every drained response is already
+        // on the wire.
         if let Some(accept) = self.accept_thread.take() {
             let _ = accept.join();
         }
-        // Again, now that the accept loop can no longer register a
-        // connection behind our back.
         self.disconnect_all();
         let handlers: Vec<JoinHandle<()>> = lock(&self.shared.handler_threads).drain(..).collect();
         for handler in handlers {
@@ -258,16 +223,11 @@ impl Server {
             Err(shared) => shared.store.flush(),
         }
     }
-
-    fn queue_cv_notify_all(&self) {
-        let _guard = lock(&self.shared.queue);
-        self.shared.queue_cv.notify_all();
-    }
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for stream in listener.incoming() {
-        if shared.state() != RUNNING {
+        if shared.draining() {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -277,311 +237,237 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         }
         let conn_shared = Arc::clone(shared);
         let handle = std::thread::spawn(move || {
-            handle_connection(&conn_shared, stream, conn_id);
+            // Any I/O error — EOF mid-frame, a reset, a write that timed
+            // out on a stuck peer — simply ends the connection.
+            let _ = serve_connection(&conn_shared, &stream);
             lock(&conn_shared.conns).remove(&conn_id);
         });
-        lock(&shared.handler_threads).push(handle);
+        let mut handlers = lock(&shared.handler_threads);
+        // Reap connections that have ended since the last accept, so
+        // the list tracks live connections rather than every one ever
+        // made.
+        let mut i = 0;
+        while i < handlers.len() {
+            if handlers[i].is_finished() {
+                let _ = handlers.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        handlers.push(handle);
     }
 }
 
-/// Sends `status`/`body` for `req_id` down the connection's writer
-/// channel; a dead connection is not an error.
-fn send(reply: &Sender<Vec<u8>>, req_id: u64, status: Status, body: &[u8]) {
-    let frame = encode_response(&ResponseHeader { req_id, status }, body);
-    let _ = reply.send(frame);
+/// Writes `status` and the frame's current body for `req_id` in one
+/// write.
+fn send(
+    mut stream: &TcpStream,
+    response: &mut ResponseFrame,
+    req_id: u64,
+    status: Status,
+) -> io::Result<()> {
+    stream.write_all(response.finish(&ResponseHeader { req_id, status }))
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
+/// [`send`] with `body` as the whole response body.
+fn reply(
+    stream: &TcpStream,
+    response: &mut ResponseFrame,
+    req_id: u64,
+    status: Status,
+    body: &[u8],
+) -> io::Result<()> {
+    response.set_body(body);
+    send(stream, response, req_id, status)
+}
+
+/// One connection, start to finish, on the calling thread: HELLO
+/// handshake, then read → check → admit → execute → respond until EOF
+/// or an I/O error.
+fn serve_connection(shared: &Shared, stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let (tx, rx) = channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
-        while let Ok(frame) = rx.recv() {
-            if out.write_all(&frame).is_err() {
-                break;
-            }
-            // Greedily coalesce whatever else is already queued into
-            // one flush.
-            let mut dead = false;
-            while let Ok(next) = rx.try_recv() {
-                if out.write_all(&next).is_err() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead || out.flush().is_err() {
-                break;
-            }
-        }
-        // Drain and drop late responses so senders never block.
-        while rx.recv().is_ok() {}
-    });
+    // Both buffers live as long as the connection and are reused by
+    // every request on it.
+    let mut request = Vec::new();
+    let mut response = ResponseFrame::new();
 
-    let session = run_reader(shared, &mut reader, &tx);
-    drop(session);
-    drop(tx);
-    let _ = writer.join();
-}
-
-/// The per-connection read loop: HELLO handshake, then parse → check →
-/// admit → enqueue until EOF or a fatal protocol error.
-fn run_reader(
-    shared: &Arc<Shared>,
-    reader: &mut impl io::Read,
-    tx: &Sender<Vec<u8>>,
-) -> Option<Arc<Session>> {
     // The handshake: first frame must be HELLO naming the session.
-    let first = match read_frame(reader) {
-        Ok(Some(frame)) => frame,
-        _ => return None,
-    };
-    let Some((header, _)) = RequestHeader::decode(&first) else {
-        send(tx, 0, Status::Malformed, b"unparseable first frame");
-        return None;
+    if !read_frame_into(&mut reader, &mut request)? {
+        return Ok(());
+    }
+    let Some((header, _)) = RequestHeader::decode(&request) else {
+        let reason = b"unparseable first frame";
+        return reply(stream, &mut response, 0, Status::Malformed, reason);
     };
     if header.opcode != Opcode::Hello {
-        send(
-            tx,
+        let reason = b"first request must be HELLO";
+        return reply(
+            stream,
+            &mut response,
             header.req_id,
             Status::Malformed,
-            b"first request must be HELLO",
+            reason,
         );
-        return None;
     }
     let session = shared.sessions.resume(header.a);
-    send(
-        tx,
-        header.req_id,
-        Status::Ok,
-        &session.epoch().to_le_bytes(),
-    );
+    let epoch = session.epoch().to_le_bytes();
+    reply(stream, &mut response, header.req_id, Status::Ok, &epoch)?;
 
-    loop {
-        let frame = match read_frame(reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(_) => break,
-        };
-        let received = Instant::now();
-        let Some((header, body)) = RequestHeader::decode(&frame) else {
-            // The length prefix kept us frame-aligned, so one bad
-            // request does not poison the stream: answer and continue.
-            let req_id = frame
-                .get(0..8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap_or_default()))
-                .unwrap_or(0);
-            send(tx, req_id, Status::Malformed, b"unparseable request header");
-            continue;
-        };
-        if header.opcode == Opcode::Hello {
-            // A repeated HELLO is a cheap liveness probe.
-            send(
-                tx,
-                header.req_id,
-                Status::Ok,
-                &session.epoch().to_le_bytes(),
-            );
-            continue;
-        }
-        if shared.state() != RUNNING {
-            send(
-                tx,
-                header.req_id,
-                Status::ShuttingDown,
-                b"server is draining",
-            );
-            continue;
-        }
-        if !header.opcode.idempotent() {
-            if let Some(recorded) = session.recorded_outcome(header.req_id) {
-                send(tx, header.req_id, recorded.status, &recorded.body);
-                continue;
-            }
-        }
-        let Some(ticket) = shared.admission.try_admit(&session) else {
-            send(
-                tx,
-                header.req_id,
-                Status::Overloaded,
-                b"in-flight cap reached",
-            );
-            continue;
-        };
-        {
-            let mut queue = lock(&shared.queue);
-            if queue.len() >= shared.cfg.queue_high {
-                drop(queue);
-                drop(ticket);
-                send(
-                    tx,
-                    header.req_id,
-                    Status::Overloaded,
-                    b"executor queue full",
-                );
-                continue;
-            }
-            queue.push_back(Job {
-                session: Arc::clone(&session),
-                ticket,
-                header,
-                body: body.to_vec(),
-                received,
-                reply: tx.clone(),
-            });
-        }
-        shared.queue_cv.notify_one();
+    while read_frame_into(&mut reader, &mut request)? {
+        serve_request(shared, &session, stream, &request, &mut response)?;
+        trim(&mut request);
+        response.trim();
     }
-    Some(session)
+    Ok(())
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.state() == STOPPED {
-                    return;
-                }
-                queue = match shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
-            }
-        };
-        run_job(shared, job);
+/// Answers the request in `frame`. The admission ticket is held from
+/// before any store work until the response bytes have been written (or
+/// the write has failed).
+fn serve_request(
+    shared: &Shared,
+    session: &Arc<Session>,
+    stream: &TcpStream,
+    frame: &[u8],
+    response: &mut ResponseFrame,
+) -> io::Result<()> {
+    let received = Instant::now();
+    let Some((header, body)) = RequestHeader::decode(frame) else {
+        // The length prefix kept us frame-aligned, so one bad
+        // request does not poison the stream: answer and continue.
+        let req_id = frame
+            .get(0..8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap_or_default()))
+            .unwrap_or(0);
+        let reason = b"unparseable request header";
+        return reply(stream, response, req_id, Status::Malformed, reason);
+    };
+    let req_id = header.req_id;
+    if header.opcode == Opcode::Hello {
+        // A repeated HELLO is a cheap liveness probe.
+        let epoch = session.epoch().to_le_bytes();
+        return reply(stream, response, req_id, Status::Ok, &epoch);
     }
-}
-
-fn run_job(shared: &Arc<Shared>, job: Job) {
-    let Job {
-        session,
-        ticket,
-        header,
-        body,
-        received,
-        reply,
-    } = job;
+    if shared.draining() {
+        let reason = b"server is draining";
+        return reply(stream, response, req_id, Status::ShuttingDown, reason);
+    }
+    if !header.opcode.idempotent() {
+        if let Some(recorded) = session.recorded_outcome(req_id) {
+            return reply(stream, response, req_id, recorded.status, &recorded.body);
+        }
+    }
+    let Some(_ticket) = shared.admission.try_admit(session) else {
+        let reason = b"in-flight cap reached";
+        return reply(stream, response, req_id, Status::Overloaded, reason);
+    };
     let due = (header.deadline_us > 0)
         .then(|| received + Duration::from_micros(header.deadline_us as u64));
-    if due.is_some_and(|due| Instant::now() > due) {
-        send(
-            &reply,
-            header.req_id,
-            Status::Deadline,
-            b"deadline expired while queued; not executed",
-        );
-        drop(ticket);
-        return;
+    let late = || due.is_some_and(|due| Instant::now() > due);
+    if late() {
+        let reason = b"deadline expired before execution; not executed";
+        return reply(stream, response, req_id, Status::Deadline, reason);
     }
-    let (status, out) = if header.opcode == Opcode::Shutdown {
+    let mut status = if header.opcode == Opcode::Shutdown {
         shared.begin_drain();
-        (Status::Ok, b"draining".to_vec())
+        response.set_body(b"draining");
+        Status::Ok
     } else {
-        execute(&shared.store, &header, &body)
+        execute(&shared.store, &header, body, response)
     };
     // Record *before* the late-reply decision: if the deadline expired
     // mid-execution the op still ran, and a client retry must replay
     // this outcome rather than execute again.
     if !header.opcode.idempotent() {
-        session.record_outcome(header.req_id, status, &out);
+        session.record_outcome(req_id, status, response.body());
     }
-    if due.is_some_and(|due| Instant::now() > due) {
-        send(
-            &reply,
-            header.req_id,
-            Status::Deadline,
-            b"deadline expired during execution; outcome recorded for replay",
-        );
-    } else {
-        send(&reply, header.req_id, status, &out);
+    if late() {
+        response.set_body(b"deadline expired during execution; outcome recorded for replay");
+        status = Status::Deadline;
     }
-    drop(ticket);
+    send(stream, response, req_id, status)
 }
 
-/// Executes one data/admin request against the store.
-fn execute(store: &BlockStore, header: &RequestHeader, body: &[u8]) -> (Status, Vec<u8>) {
+/// Executes one data/admin request against the store, leaving the
+/// response body in `out`.
+fn execute(
+    store: &BlockStore,
+    header: &RequestHeader,
+    body: &[u8],
+    out: &mut ResponseFrame,
+) -> Status {
     let block_bytes = BLOCK_BYTES as usize;
-    match header.opcode {
+    out.set_body(&[]);
+    let result = match header.opcode {
         Opcode::Read => {
             let len = header.b as usize;
             if len == 0 || !len.is_multiple_of(block_bytes) {
-                return invalid("read length must be a positive multiple of the block size");
+                return invalid(
+                    out,
+                    "read length must be a positive multiple of the block size",
+                );
             }
             if len + RESPONSE_HEADER_BYTES > MAX_FRAME {
-                return invalid("read length exceeds the frame cap");
+                return invalid(out, "read length exceeds the frame cap");
             }
             let blocks = (len / block_bytes) as u64;
             if header.a + blocks > store.block_count() {
-                return invalid("read range past end of device");
+                return invalid(out, "read range past end of device");
             }
-            let mut buf = vec![0u8; len];
-            match store.read_blocks(header.a, &mut buf) {
-                Ok(()) => (Status::Ok, buf),
-                Err(e) => store_error(&e),
-            }
+            // Straight into the frame, behind the header slots.
+            store.read_blocks(header.a, out.body_mut(len))
         }
         Opcode::Write => {
             if body.is_empty() || !body.len().is_multiple_of(block_bytes) {
-                return invalid("write body must be a positive multiple of the block size");
+                return invalid(
+                    out,
+                    "write body must be a positive multiple of the block size",
+                );
             }
             let blocks = (body.len() / block_bytes) as u64;
             if header.a + blocks > store.block_count() {
-                return invalid("write range past end of device");
+                return invalid(out, "write range past end of device");
             }
-            match store.write_blocks(header.a, body) {
-                Ok(()) => (Status::Ok, Vec::new()),
-                Err(e) => store_error(&e),
-            }
+            store.write_blocks(header.a, body)
         }
-        Opcode::Flush => match store.flush() {
-            Ok(()) => (Status::Ok, Vec::new()),
-            Err(e) => store_error(&e),
-        },
-        Opcode::FailDisk => match store.fail_disk(header.a as u16) {
-            Ok(()) => (Status::Ok, Vec::new()),
-            Err(e) => store_error(&e),
-        },
-        Opcode::ReplaceDisk => match store.replace_disk() {
-            Ok(()) => (Status::Ok, Vec::new()),
-            Err(e) => store_error(&e),
-        },
-        Opcode::StartRebuild => match store.rebuild(header.a as usize) {
-            Ok(report) => (Status::Ok, rebuild_json(&report).into_bytes()),
-            Err(e) => store_error(&e),
-        },
-        Opcode::Scrub => match store.scrub(header.a != 0) {
-            Ok(report) => (Status::Ok, scrub_json(&report).into_bytes()),
-            Err(e) => store_error(&e),
-        },
-        Opcode::Stats => (Status::Ok, store.stats_snapshot().to_json().into_bytes()),
+        Opcode::Flush => store.flush(),
+        Opcode::FailDisk => store.fail_disk(header.a as u16),
+        Opcode::ReplaceDisk => store.replace_disk(),
+        Opcode::StartRebuild => store
+            .rebuild(header.a as usize)
+            .map(|report| out.set_body(rebuild_json(&report).as_bytes())),
+        Opcode::Scrub => store
+            .scrub(header.a != 0)
+            .map(|report| out.set_body(scrub_json(&report).as_bytes())),
+        Opcode::Stats => {
+            out.set_body(store.stats_snapshot().to_json().as_bytes());
+            Ok(())
+        }
         // Hello and Shutdown are handled before execute().
-        Opcode::Hello | Opcode::Shutdown => invalid("unexpected opcode"),
+        Opcode::Hello | Opcode::Shutdown => return invalid(out, "unexpected opcode"),
+    };
+    match result {
+        Ok(()) => Status::Ok,
+        Err(e) => store_error(out, &e),
     }
 }
 
-fn invalid(reason: &str) -> (Status, Vec<u8>) {
-    (Status::Invalid, reason.as_bytes().to_vec())
+fn invalid(out: &mut ResponseFrame, reason: &str) -> Status {
+    out.set_body(reason.as_bytes());
+    Status::Invalid
 }
 
 /// Maps a store error onto the wire: storage-layer failures (I/O,
 /// exhausted redundancy) are `Media`; preconditions and bad arguments
 /// are `Invalid`. The body is the error's display text either way.
-fn store_error(error: &StoreError) -> (Status, Vec<u8>) {
-    let status = match error {
+fn store_error(out: &mut ResponseFrame, error: &StoreError) -> Status {
+    out.set_body(error.to_string().as_bytes());
+    match error {
         StoreError::Media { .. } | StoreError::Io { .. } => Status::Media,
         _ => Status::Invalid,
-    };
-    (status, error.to_string().into_bytes())
+    }
 }
 
 fn rebuild_json(report: &RebuildReport) -> String {
@@ -635,4 +521,43 @@ fn scrub_json(report: &ScrubReport) -> String {
         report.repaired,
         report.escalated,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientConfig};
+    use decluster_store::LayoutSpec;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let dir = std::env::temp_dir()
+            .join("decluster-server-tests")
+            .join(format!("reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = LayoutSpec::Complete { disks: 5, group: 4 };
+        let store = BlockStore::create(&dir, spec, 36, 1024, 0x5EA3).unwrap();
+        let server = Server::spawn(Arc::new(store), ServerConfig::default()).unwrap();
+        let tracked = || lock(&server.shared.handler_threads).len();
+        // A full HELLO exchange per connection, so each one has been
+        // accepted before the next is made.
+        let connect_and_close =
+            || drop(Client::connect(&server.addr().to_string(), ClientConfig::default()).unwrap());
+        for _ in 0..300 {
+            connect_and_close();
+        }
+        // Each accept reaps what has finished by then; the last few
+        // threads may still be on their way out.
+        let started = Instant::now();
+        while tracked() > 2 {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "{} handles kept",
+                tracked()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+            connect_and_close();
+        }
+        server.stop().unwrap();
+    }
 }

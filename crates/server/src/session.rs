@@ -6,13 +6,17 @@
 //! session carries the two things that must survive a dropped socket —
 //! the replay cache of non-idempotent outcomes (a retried `FAIL_DISK`
 //! must observe the first execution's result, not run twice) and the
-//! per-session in-flight count that bounds pipelining.
+//! per-session in-flight count: how many of the session's connections
+//! are executing a request right now (one connection executes one
+//! request at a time, so this bounds a client's parallelism, not its
+//! pipelining depth).
 //!
-//! Admission is ticket-based: a request is either *admitted* — it holds
-//! a [`Ticket`] until its response is handed to the connection writer —
-//! or it is refused up front with `Overloaded`. Tickets release on drop,
-//! so a connection dying mid-request can never leak capacity: the job
-//! still completes in a worker and the ticket drops with it.
+//! Admission is ticket-based: a request is either *admitted* — its
+//! connection thread holds a [`Ticket`] until the response bytes have
+//! been written to the socket (or the write has failed) — or it is
+//! refused up front with `Overloaded`. Tickets release on drop, so a
+//! connection dying mid-request can never leak capacity: the ticket
+//! goes when the connection thread unwinds.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -40,7 +44,8 @@ pub(crate) struct Recorded {
     pub body: Vec<u8>,
 }
 
-/// Bounded per-session memory of non-idempotent outcomes.
+/// Bounded per-session memory of non-idempotent outcomes. Only admin
+/// verbs ever record, so nothing is allocated until the first one does.
 #[derive(Debug)]
 struct ReplayCache {
     order: VecDeque<u64>,
@@ -51,8 +56,8 @@ struct ReplayCache {
 impl ReplayCache {
     fn new(cap: usize) -> ReplayCache {
         ReplayCache {
-            order: VecDeque::with_capacity(cap),
-            by_id: HashMap::with_capacity(cap),
+            order: VecDeque::new(),
+            by_id: HashMap::new(),
             cap,
         }
     }

@@ -220,33 +220,23 @@ fn expired_deadline_yields_typed_error_never_a_hang() {
     server.stop().unwrap();
 }
 
-#[test]
-fn overload_sheds_excess_and_completes_admitted() {
-    let (_dir, store) = slow_store("overload", LatencyProfile::limping(30_000, 0));
-    let server = Server::spawn(
-        Arc::clone(&store),
-        ServerConfig {
-            workers: 1,
-            global_inflight: 2,
-            session_inflight: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    // Seed one block through a patient client.
-    let mut seed_client = client(&server, 31);
-    seed_client.write_blocks(0, &block_content(0, 1)).unwrap();
+/// Unit reads issued to the backing disks since the store opened.
+fn device_reads(store: &BlockStore) -> u64 {
+    let stats = store.stats_snapshot();
+    stats.per_disk.iter().map(|d| d.reads).sum()
+}
 
-    // Pipeline 8 reads in one burst: the two in-flight slots admit two
-    // of them, the rest must be shed immediately with Overloaded.
-    let mut stream = raw_hello(&server, 32);
-    for req_id in 1..=8u64 {
-        raw_request(&mut stream, req_id, Opcode::Read, 0, 0, BLOCK_BYTES, &[]);
+/// Opens one connection per entry of `sessions`, writes one read of
+/// block 0 on each back-to-back from this thread, and tallies the
+/// replies as (Ok with the seeded data, Overloaded).
+fn burst_of_reads(server: &Server, sessions: &[u64]) -> (usize, usize) {
+    let mut streams: Vec<TcpStream> = sessions.iter().map(|s| raw_hello(server, *s)).collect();
+    for stream in &mut streams {
+        raw_request(stream, 1, Opcode::Read, 0, 0, BLOCK_BYTES, &[]);
     }
-    let mut ok = 0;
-    let mut overloaded = 0;
-    for _ in 0..8 {
-        let (header, body) = raw_response(&mut stream);
+    let (mut ok, mut overloaded) = (0, 0);
+    for stream in &mut streams {
+        let (header, body) = raw_response(stream);
         match header.status {
             Status::Ok => {
                 ok += 1;
@@ -256,15 +246,169 @@ fn overload_sheds_excess_and_completes_admitted() {
             other => panic!("unexpected status {other:?}"),
         }
     }
+    (ok, overloaded)
+}
+
+#[test]
+fn overload_sheds_excess_and_completes_admitted() {
+    // 30 ms reads: every request of a burst written in well under that
+    // arrives while the admitted ones are still executing.
+    let (_dir, store) = slow_store("overload", LatencyProfile::limping(30_000, 0));
+    let server = Server::spawn(
+        Arc::clone(&store),
+        ServerConfig {
+            global_inflight: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    // Seed one block through a patient client.
+    let mut seed_client = client(&server, 31);
+    seed_client.write_blocks(0, &block_content(0, 1)).unwrap();
+
+    // Eight connections, eight sessions, one read each: the two global
+    // slots admit two, the rest are shed immediately with Overloaded.
+    let sessions: Vec<u64> = (320..328).collect();
+    let reads_before = device_reads(&store);
+    let (ok, overloaded) = burst_of_reads(&server, &sessions);
     assert_eq!(ok, 2, "exactly the admitted requests complete");
     assert_eq!(overloaded, 6, "everything past the cap is shed");
+    assert_eq!(
+        device_reads(&store) - reads_before,
+        2,
+        "a shed request does no store work"
+    );
 
-    // Capacity is released: a fresh request succeeds.
+    // Capacity is released: fresh requests succeed, both slots again.
     assert_eq!(
         seed_client.read_blocks(0, BLOCK_BYTES).unwrap(),
         block_content(0, 1)
     );
+    assert_eq!(burst_of_reads(&server, &sessions[..2]), (2, 0));
+
+    // The drain refusal is just as free of store work.
+    let mut idle = raw_hello(&server, 329);
+    server.begin_shutdown();
+    let reads_before = device_reads(&store);
+    raw_request(&mut idle, 1, Opcode::Read, 0, 0, BLOCK_BYTES, &[]);
+    assert_eq!(raw_response(&mut idle).0.status, Status::ShuttingDown);
+    assert_eq!(device_reads(&store), reads_before);
     server.stop().unwrap();
+}
+
+#[test]
+fn session_cap_sheds_across_the_sessions_connections() {
+    let (_dir, store) = slow_store("session-cap", LatencyProfile::limping(30_000, 0));
+    let server = Server::spawn(
+        Arc::clone(&store),
+        ServerConfig {
+            session_inflight: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut seed_client = client(&server, 33);
+    seed_client.write_blocks(0, &block_content(0, 1)).unwrap();
+
+    // Four connections of ONE session: the global cap is far away, the
+    // session's own cap of two is what sheds.
+    let (ok, overloaded) = burst_of_reads(&server, &[34; 4]);
+    assert_eq!(ok, 2, "the session's two slots complete");
+    assert_eq!(overloaded, 2, "its other connections are shed");
+    // Another session was never affected, and the slots came back.
+    assert_eq!(
+        seed_client.read_blocks(0, BLOCK_BYTES).unwrap(),
+        block_content(0, 1)
+    );
+    assert_eq!(burst_of_reads(&server, &[34; 2]), (2, 0));
+    server.stop().unwrap();
+}
+
+#[test]
+fn pipelined_requests_on_one_connection_answer_in_order() {
+    let (_dir, store) = make_store("pipelined");
+    let server = Server::spawn(
+        Arc::clone(&store),
+        ServerConfig {
+            // One connection executes one request at a time, so even a
+            // cap of one never sheds its pipeline.
+            session_inflight: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = raw_hello(&server, 36);
+    // Writes at odd ids, each read back by the request right behind it.
+    for pair in 0..4u64 {
+        let data = block_content(pair, 7);
+        raw_request(&mut stream, 2 * pair + 1, Opcode::Write, 0, pair, 0, &data);
+        raw_request(
+            &mut stream,
+            2 * pair + 2,
+            Opcode::Read,
+            0,
+            pair,
+            BLOCK_BYTES,
+            &[],
+        );
+    }
+    for req_id in 1..=8u64 {
+        let (header, body) = raw_response(&mut stream);
+        assert_eq!(header.req_id, req_id, "answers come in send order");
+        assert_eq!(header.status, Status::Ok);
+        if req_id % 2 == 0 {
+            assert_eq!(
+                body,
+                block_content(req_id / 2 - 1, 7),
+                "read sees its write"
+            );
+        } else {
+            assert!(body.is_empty());
+        }
+    }
+    server.stop().unwrap();
+}
+
+#[test]
+fn stuck_peer_is_dropped_and_releases_its_ticket() {
+    let (_dir, store) = make_store("stuck-peer");
+    let server = Server::spawn(Arc::clone(&store), ServerConfig::default()).unwrap();
+    let mut c = client(&server, 38);
+    c.write_blocks(0, &block_content(0, 1)).unwrap();
+
+    // A peer that pipelines large reads and never reads a byte back:
+    // the responses fill both socket buffers and the connection thread
+    // blocks in its write, holding the request's ticket.
+    let mut stuck = raw_hello(&server, 39);
+    let len = 128 * BLOCK_BYTES; // 32 MiB of responses: past any socket buffer
+    for req_id in 1..=512u64 {
+        raw_request(&mut stuck, req_id, Opcode::Read, 0, 0, len, &[]);
+    }
+    let wedged = Instant::now();
+    while server.in_flight() == 0 || wedged.elapsed() < Duration::from_millis(200) {
+        assert!(wedged.elapsed() < Duration::from_secs(5), "never blocked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.in_flight(), 1, "the stuck write holds its ticket");
+    // Everyone else is served meanwhile.
+    assert_eq!(c.read_blocks(0, BLOCK_BYTES).unwrap(), block_content(0, 1));
+
+    // The write timeout drops the connection; the ticket goes with it.
+    while server.in_flight() > 0 {
+        assert!(
+            wedged.elapsed() < Duration::from_secs(10),
+            "a stuck peer must not hold capacity forever"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(c.read_blocks(0, BLOCK_BYTES).unwrap(), block_content(0, 1));
+    let stopping = Instant::now();
+    server.stop().unwrap();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(5),
+        "stop() is prompt"
+    );
+    drop(stuck);
 }
 
 #[test]
@@ -376,6 +520,32 @@ fn reconnect_resumes_the_session_and_replays_admin_outcomes() {
         String::from_utf8_lossy(&body).contains("already failed"),
         "the second execution sees the already-failed disk"
     );
+    server.stop().unwrap();
+}
+
+#[test]
+fn late_admin_reply_is_deadline_but_the_outcome_replays() {
+    // 1 ms per device read: a scrub of the whole array cannot make a
+    // 20 ms budget, but passes the before-execution check with ease.
+    let (_dir, store) = slow_store("late-admin", LatencyProfile::limping(1_000, 0));
+    let server = Server::spawn(Arc::clone(&store), ServerConfig::default()).unwrap();
+    let mut raw = raw_hello(&server, 56);
+    raw_request(&mut raw, 3, Opcode::Scrub, 20_000, 0, 0, &[]);
+    let (header, body) = raw_response(&mut raw);
+    assert_eq!(header.status, Status::Deadline);
+    assert!(
+        String::from_utf8_lossy(&body).contains("recorded for replay"),
+        "the scrub ran; only its reply was late"
+    );
+    // The retry under the same id gets the scrub's real report out of
+    // the replay cache — recorded before the late-reply decision —
+    // without a second pass over the disks.
+    let reads_before = device_reads(&store);
+    raw_request(&mut raw, 3, Opcode::Scrub, 0, 0, 0, &[]);
+    let (header, body) = raw_response(&mut raw);
+    assert_eq!(header.status, Status::Ok);
+    assert!(String::from_utf8_lossy(&body).contains("\"units_scanned\":180"));
+    assert_eq!(device_reads(&store), reads_before, "replayed, not re-run");
     server.stop().unwrap();
 }
 

@@ -73,7 +73,7 @@ USAGE:
       Run a scenario and print response-time / reconstruction results.
       ALG is one of: baseline, user-writes, redirect, piggyback.
 
-  decluster serve <store-dir> [--addr HOST:PORT] [--workers N]
+  decluster serve <store-dir> [--addr HOST:PORT]
                   [--global-inflight N] [--session-inflight N]
       Serve an existing block store (see the `store` tool to mkfs one)
       over the sessioned TCP protocol until a client sends the
@@ -254,7 +254,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = value("--addr")?,
-            "--workers" => cfg.workers = value("--workers")?.parse().map_err(|e| format!("{e}"))?,
             "--global-inflight" => {
                 cfg.global_inflight = value("--global-inflight")?
                     .parse()
