@@ -16,7 +16,7 @@ pub struct ScrubConfig {
     /// Master switch. Disabled (the default) costs nothing: runs are
     /// byte-identical with PR-2 behavior.
     pub enabled: bool,
-    /// Microseconds between scrub kicks — the patrol rate ceiling (one
+    /// Time between scrub kicks, in µs — the patrol rate ceiling (one
     /// stripe verify is started per kick at most).
     pub interval_us: u64,
     /// Maximum stripe-verify cycles in flight at once.

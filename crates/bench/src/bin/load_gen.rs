@@ -23,12 +23,11 @@
 //! (C−1+G−1)/C and throughput should retain at least half of the
 //! reciprocal (the factor 2 absorbs scheduling noise on shared CI).
 //!
-//! Each run appends one entry to an append-only JSON trajectory
-//! (default `results/server_bench.json`); see EXPERIMENTS.md for the
-//! schema. `--smoke` is the deterministic CI configuration: a small
-//! array, 4 clients, fixed seed.
+//! `--out PATH` writes the run's configuration, per-phase figures and
+//! gate inputs as one JSON object; see EXPERIMENTS.md for the schema.
+//! `--smoke` is the deterministic CI configuration: a small array,
+//! 4 clients, fixed seed.
 
-use decluster_bench::trajectory::{append_entry, git_rev, unix_time};
 use decluster_server::{Client, ClientConfig, Server, ServerConfig};
 use decluster_sim::LatencyHistogram;
 use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
@@ -53,7 +52,7 @@ struct Config {
     deadline_us: u32,
     rebuild_threads: usize,
     victim: u16,
-    out: String,
+    out: Option<String>,
     dir: Option<PathBuf>,
     keep: bool,
     floor_scale: f64,
@@ -73,7 +72,7 @@ impl Default for Config {
             deadline_us: 2_000_000,
             rebuild_threads: 2,
             victim: 1,
-            out: "results/server_bench.json".to_string(),
+            out: None,
             dir: None,
             keep: false,
             floor_scale: 0.5,
@@ -328,7 +327,7 @@ fn main() {
             "--rebuild-threads" => cfg.rebuild_threads = parse(&mut args, "--rebuild-threads"),
             "--victim" => cfg.victim = parse(&mut args, "--victim"),
             "--floor-scale" => cfg.floor_scale = parse(&mut args, "--floor-scale"),
-            "--out" => cfg.out = args.next().unwrap_or_else(|| usage("--out needs a value")),
+            "--out" => cfg.out = Some(parse(&mut args, "--out")),
             "--dir" => cfg.dir = Some(PathBuf::from(parse::<String>(&mut args, "--dir"))),
             "--keep" => cfg.keep = true,
             "--help" | "-h" => usage(""),
@@ -546,55 +545,48 @@ fn main() {
         0.0
     };
 
-    let mut entry = String::new();
-    entry.push_str("  {\n");
-    entry.push_str(&format!("    \"git_rev\": \"{}\",\n", git_rev()));
-    entry.push_str(&format!("    \"unix_time\": {},\n", unix_time()));
-    entry.push_str(&format!("    \"smoke\": {},\n", cfg.smoke));
-    entry.push_str(&format!("    \"layout\": \"{}\",\n", spec));
-    entry.push_str(&format!("    \"disks\": {},\n", cfg.disks));
-    entry.push_str(&format!("    \"group\": {},\n", cfg.group));
-    entry.push_str(&format!("    \"alpha\": {alpha:.6},\n"));
-    entry.push_str(&format!("    \"unit_bytes\": {},\n", cfg.unit_bytes));
-    entry.push_str(&format!("    \"data_units\": {data_units},\n"));
-    entry.push_str(&format!("    \"clients\": {},\n", cfg.clients));
-    entry.push_str(&format!("    \"ops_per_client\": {},\n", cfg.ops));
-    entry.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    entry.push_str(&format!("    \"deadline_us\": {},\n", cfg.deadline_us));
-    entry.push_str(&format!("    \"victim_disk\": {},\n", cfg.victim));
-    entry.push_str(&format!(
-        "    \"rebuild_threads\": {},\n",
-        cfg.rebuild_threads
-    ));
-    entry.push_str(&format!("    \"rebuild_secs\": {rebuild_secs:.6},\n"));
-    entry.push_str("    \"phases\": {");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            entry.push_str(", ");
-        }
-        entry.push_str(&format!("\"{}\": {}", p.name, p.to_json()));
-    }
-    entry.push_str("},\n");
-    entry.push_str(&format!(
-        "    \"errors\": {{\"dropped_sessions\": 0, \"client_errors\": {error_count}, \
-         \"mismatches\": {mismatches}}},\n"
-    ));
-    entry.push_str(&format!("    \"reconnects\": {reconnects},\n"));
-    entry.push_str(&format!(
-        "    \"overload_backoffs\": {overload_backoffs},\n"
-    ));
-    entry.push_str(&format!("    \"sessions\": {sessions},\n"));
-    entry.push_str(&format!(
-        "    \"degraded_over_healthy\": {degraded_over_healthy:.4},\n"
-    ));
-    entry.push_str(&format!("    \"degraded_floor_frac\": {floor_frac:.4},\n"));
-    entry.push_str(&format!("    \"server_stats\": {}\n", stats.trim_end()));
-    entry.push_str("  }");
-    match append_entry(&cfg.out, entry) {
-        Ok(runs) => println!("appended trajectory entry to {} ({runs} runs)", cfg.out),
-        Err(e) => {
-            eprintln!("error: write {}: {e}", cfg.out);
-            std::process::exit(1);
+    if let Some(out) = &cfg.out {
+        let mut json = String::from("{\n");
+        json.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
+        json.push_str(&format!("  \"layout\": \"{spec}\",\n"));
+        json.push_str(&format!("  \"disks\": {},\n", cfg.disks));
+        json.push_str(&format!("  \"group\": {},\n", cfg.group));
+        json.push_str(&format!("  \"alpha\": {alpha:.6},\n"));
+        json.push_str(&format!("  \"unit_bytes\": {},\n", cfg.unit_bytes));
+        json.push_str(&format!("  \"data_units\": {data_units},\n"));
+        json.push_str(&format!("  \"clients\": {},\n", cfg.clients));
+        json.push_str(&format!("  \"ops_per_client\": {},\n", cfg.ops));
+        json.push_str(&format!("  \"seed\": {},\n", cfg.seed));
+        json.push_str(&format!("  \"deadline_us\": {},\n", cfg.deadline_us));
+        json.push_str(&format!("  \"victim_disk\": {},\n", cfg.victim));
+        json.push_str(&format!(
+            "  \"rebuild_threads\": {},\n",
+            cfg.rebuild_threads
+        ));
+        json.push_str(&format!("  \"rebuild_secs\": {rebuild_secs:.6},\n"));
+        let phase_json: Vec<String> = phases
+            .iter()
+            .map(|p| format!("\"{}\": {}", p.name, p.to_json()))
+            .collect();
+        json.push_str(&format!("  \"phases\": {{{}}},\n", phase_json.join(", ")));
+        json.push_str(&format!(
+            "  \"errors\": {{\"dropped_sessions\": 0, \"client_errors\": {error_count}, \
+             \"mismatches\": {mismatches}}},\n"
+        ));
+        json.push_str(&format!("  \"reconnects\": {reconnects},\n"));
+        json.push_str(&format!("  \"overload_backoffs\": {overload_backoffs},\n"));
+        json.push_str(&format!("  \"sessions\": {sessions},\n"));
+        json.push_str(&format!(
+            "  \"degraded_over_healthy\": {degraded_over_healthy:.4},\n"
+        ));
+        json.push_str(&format!("  \"degraded_floor_frac\": {floor_frac:.4},\n"));
+        json.push_str(&format!("  \"server_stats\": {}\n}}\n", stats.trim_end()));
+        match std::fs::write(out, json) {
+            Ok(()) => println!("wrote {out}"),
+            Err(e) => {
+                eprintln!("error: write {out}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 

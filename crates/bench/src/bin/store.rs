@@ -1,13 +1,10 @@
 //! Operate a file-backed declustered store (`decluster-store`) from the
-//! command line: format, fill, benchmark, fail, rebuild, verify.
+//! command line: format, fill, fail, rebuild, verify, scrub, stats.
 //!
 //! ```text
 //! store mkfs DIR [--disks C] [--group G] [--units N] [--unit-bytes B]
 //!               [--layout SPEC] [--array-id ID]
 //! store fill DIR [--seed S]
-//! store bench DIR [--requests N] [--threads T] [--read-fraction F]
-//!                [--rate R] [--seed S] [--access-units U]
-//!                [--max-regress F] [--out PATH]
 //! store fail DIR DISK
 //! store rebuild DIR [--threads T]
 //! store verify DIR [--seed S] [--skip-content]
@@ -29,18 +26,10 @@
 //! unit is corrected in place from parity, uncorrectable ones are
 //! listed. `rebuild` installs a blank replacement, rebuilds
 //! it online, and prints each surviving disk's read fraction next to the
-//! layout's α = (G−1)/(C−1). `bench` replays a generated workload over a
-//! worker pool, reports p50/p95/p99 per-request latency, and **appends**
-//! a run entry (git rev, config, units/s, latency, fault counters) to a
-//! JSON trajectory (default `results/store_bench.json`);
-//! `--max-regress 0.30` exits nonzero if units/s dropped more than 30%
-//! against the last entry with the same configuration — the CI
-//! regression gate.
+//! layout's α = (G−1)/(C−1). Throughput and latency are measured by
+//! the standalone `benchmark/` package, not here.
 
-use decluster_bench::trajectory::{field, git_rev, split_entries, unix_time};
-use decluster_sim::LatencyHistogram;
-use decluster_store::{BlockStore, LayoutSpec, StoreError, StorePool, BLOCK_BYTES};
-use decluster_workload::{AccessKind, Workload, WorkloadSpec};
+use decluster_store::{BlockStore, LayoutSpec, StoreError, BLOCK_BYTES};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -53,8 +42,6 @@ fn usage(problem: &str) -> ! {
          [--layout SPEC] [--array-id ID]   (SPEC like bibd:c10g4, prime:c11g4, \
          raid5:c10, pq:c12g6; `--layout help` lists families)\n\
          \x20      store fill DIR [--seed S]\n\
-         \x20      store bench DIR [--requests N] [--threads T] [--read-fraction F] \
-         [--rate R] [--seed S] [--access-units U] [--max-regress F] [--out PATH]\n\
          \x20      store fail DIR DISK\n\
          \x20      store rebuild DIR [--threads T]\n\
          \x20      store verify DIR [--seed S] [--skip-content]\n\
@@ -382,241 +369,6 @@ fn stats(dir: &Path) {
     store.close().unwrap_or_else(|e| fail(e));
 }
 
-/// One worker's share of the benchmark stream.
-struct WorkerTally {
-    reads: u64,
-    writes: u64,
-    latency: LatencyHistogram,
-}
-
-#[allow(clippy::too_many_lines)]
-fn bench(dir: &Path, mut args: impl Iterator<Item = String>) {
-    let mut requests: usize = 2000;
-    let mut threads: usize = 0;
-    let mut read_fraction: f64 = 0.5;
-    let mut rate: f64 = 500.0;
-    let mut seed: u64 = 7;
-    let mut access_units: u64 = 1;
-    let mut max_regress: Option<f64> = None;
-    let mut out = "results/store_bench.json".to_string();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => requests = parse(&mut args, "--requests"),
-            "--threads" => threads = parse(&mut args, "--threads"),
-            "--read-fraction" => read_fraction = parse(&mut args, "--read-fraction"),
-            "--rate" => rate = parse(&mut args, "--rate"),
-            "--seed" => seed = parse(&mut args, "--seed"),
-            "--access-units" => access_units = parse(&mut args, "--access-units"),
-            "--max-regress" => max_regress = Some(parse(&mut args, "--max-regress")),
-            "--out" => out = parse(&mut args, "--out"),
-            other => usage(&format!("unknown bench flag {other}")),
-        }
-    }
-    let store = open(dir);
-    describe(&store);
-    let mut workload = Workload::new(
-        WorkloadSpec::new(rate, read_fraction).with_access_units(access_units),
-        store.data_units(),
-        seed,
-    );
-    let stream: Vec<_> = (0..requests).map(|_| workload.next_request()).collect();
-    let pool = StorePool::new(threads);
-    let per_worker = requests.div_ceil(pool.threads());
-    let bpu = store.unit_bytes() as u64 / u64::from(BLOCK_BYTES);
-    let before = store.io_counters();
-    let start = Instant::now();
-    let results = pool.run(
-        stream
-            .chunks(per_worker.max(1))
-            .enumerate()
-            .map(|(w, chunk)| {
-                let store = &store;
-                move || -> Result<WorkerTally, StoreError> {
-                    let mut buf = vec![0u8; access_units as usize * store.unit_bytes()];
-                    let mut data = Vec::with_capacity(buf.len());
-                    let mut tally = WorkerTally {
-                        reads: 0,
-                        writes: 0,
-                        latency: LatencyHistogram::new(),
-                    };
-                    for (i, req) in chunk.iter().enumerate() {
-                        let span = req.units as usize * store.unit_bytes();
-                        let began = Instant::now();
-                        match req.kind {
-                            AccessKind::Read => {
-                                store.read_blocks(req.logical_unit * bpu, &mut buf[..span])?;
-                                tally.reads += req.units;
-                            }
-                            AccessKind::Write => {
-                                let gen = (w * per_worker + i) as u64;
-                                data.clear();
-                                for u in 0..req.units {
-                                    data.extend_from_slice(&pattern(
-                                        seed ^ gen,
-                                        req.logical_unit + u,
-                                        store.unit_bytes(),
-                                    ));
-                                }
-                                store.write_blocks(req.logical_unit * bpu, &data)?;
-                                tally.writes += req.units;
-                            }
-                        }
-                        tally
-                            .latency
-                            .record_us(began.elapsed().as_micros().min(u128::from(u64::MAX))
-                                as u64);
-                    }
-                    Ok(tally)
-                }
-            })
-            .collect(),
-    );
-    let wall = start.elapsed().as_secs_f64();
-    let (mut reads, mut writes) = (0u64, 0u64);
-    let mut latency = LatencyHistogram::new();
-    for r in results {
-        let tally = r.unwrap_or_else(|e| fail(e));
-        reads += tally.reads;
-        writes += tally.writes;
-        latency.merge(&tally.latency);
-    }
-    let after = store.io_counters();
-    let user_units = reads + writes;
-    let iops = user_units as f64 / wall;
-    let mb_s = user_units as f64 * store.unit_bytes() as f64 / (wall * 1024.0 * 1024.0);
-    let (p50, p95, p99) = (
-        latency.quantile_us(0.50),
-        latency.quantile_us(0.95),
-        latency.quantile_us(0.99),
-    );
-    println!(
-        "{user_units} unit accesses ({reads} reads, {writes} writes) in {wall:.3}s: \
-         {iops:.0} units/s, {mb_s:.1} MB/s over {} workers",
-        pool.threads()
-    );
-    println!(
-        "per-request latency: p50 {p50}µs  p95 {p95}µs  p99 {p99}µs  \
-         mean {:.3}ms  max {}µs ({} requests)",
-        latency.mean_ms(),
-        latency.max_us(),
-        latency.count()
-    );
-    if store.failed_disks().is_empty() {
-        store.verify_parity().unwrap_or_else(|e| fail(e));
-        println!("parity ok after benchmark");
-    }
-
-    let spec = store.spec();
-    let mut entry = String::new();
-    entry.push_str("  {\n");
-    entry.push_str(&format!("    \"git_rev\": \"{}\",\n", git_rev()));
-    entry.push_str(&format!("    \"unix_time\": {},\n", unix_time()));
-    entry.push_str(&format!("    \"layout\": \"{}\",\n", spec));
-    entry.push_str(&format!("    \"disks\": {},\n", spec.disks()));
-    entry.push_str(&format!("    \"group\": {},\n", spec.group()));
-    entry.push_str(&format!("    \"alpha\": {:.6},\n", spec.alpha()));
-    entry.push_str(&format!("    \"unit_bytes\": {},\n", store.unit_bytes()));
-    entry.push_str(&format!("    \"data_units\": {},\n", store.data_units()));
-    entry.push_str(&format!("    \"requests\": {requests},\n"));
-    entry.push_str(&format!("    \"access_units\": {access_units},\n"));
-    entry.push_str(&format!("    \"read_fraction\": {read_fraction},\n"));
-    entry.push_str(&format!("    \"seed\": {seed},\n"));
-    entry.push_str(&format!("    \"threads\": {},\n", pool.threads()));
-    entry.push_str(&format!("    \"user_reads\": {reads},\n"));
-    entry.push_str(&format!("    \"user_writes\": {writes},\n"));
-    entry.push_str(&format!("    \"wall_secs\": {wall:.6},\n"));
-    entry.push_str(&format!("    \"units_per_sec\": {iops:.3},\n"));
-    entry.push_str(&format!("    \"throughput_mb_s\": {mb_s:.3},\n"));
-    entry.push_str(&format!(
-        "    \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \
-         \"mean_ms\": {:.4}, \"max\": {}}},\n",
-        latency.mean_ms(),
-        latency.max_us()
-    ));
-    let faults = store.fault_counters();
-    let hedge_win_rate = if faults.hedged_reads == 0 {
-        0.0
-    } else {
-        faults.hedge_wins as f64 / faults.hedged_reads as f64
-    };
-    entry.push_str(&format!(
-        "    \"faults\": {{\"media_errors\": {}, \"checksum_errors\": {}, \
-         \"retry_successes\": {}, \"repaired\": {}, \"escalated\": {}, \
-         \"hedged_reads\": {}, \"hedge_wins\": {}, \"hedge_win_rate\": {:.4}, \
-         \"demotions\": {}}},\n",
-        faults.media_errors,
-        faults.checksum_errors,
-        faults.retry_successes,
-        faults.repaired,
-        faults.escalated,
-        faults.hedged_reads,
-        faults.hedge_wins,
-        hedge_win_rate,
-        faults.demotions
-    ));
-    entry.push_str("    \"per_disk\": [");
-    for (i, (a, b)) in after.iter().zip(&before).enumerate() {
-        entry.push_str(&format!(
-            "{}{{\"disk\": {i}, \"reads\": {}, \"writes\": {}}}",
-            if i == 0 { "" } else { ", " },
-            a.reads - b.reads,
-            a.writes - b.writes,
-        ));
-    }
-    entry.push_str("]\n  }");
-
-    // The trajectory: an append-only array of run entries. A legacy
-    // single-object snapshot becomes the first entry.
-    let existing = std::fs::read_to_string(&out).unwrap_or_default();
-    let mut entries = split_entries(&existing);
-    // The last run whose configuration matches this one, for the gate.
-    let matches_config = |e: &String| {
-        field(e, "layout").map(str::to_string) == Some(format!("\"{}\"", spec))
-            && field(e, "disks") == Some(&spec.disks().to_string())
-            && field(e, "group") == Some(&spec.group().to_string())
-            && field(e, "unit_bytes") == Some(&store.unit_bytes().to_string())
-            && field(e, "requests") == Some(&requests.to_string())
-            && field(e, "threads") == Some(&pool.threads().to_string())
-            && field(e, "access_units").unwrap_or("1") == access_units.to_string()
-    };
-    let previous: Option<f64> = entries
-        .iter()
-        .rev()
-        .find(|e| matches_config(e))
-        .and_then(|e| field(e, "units_per_sec"))
-        .and_then(|v| v.trim_end_matches(',').parse().ok());
-    entries.push(entry);
-    let mut json = String::from("[\n");
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n]\n");
-    if let Some(parent) = PathBuf::from(&out).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    match std::fs::write(&out, json) {
-        Ok(()) => println!(
-            "appended trajectory entry to {out} ({} runs)",
-            entries.len()
-        ),
-        Err(e) => fail(StoreError::io("write benchmark trajectory", &out, e)),
-    }
-    store.close().unwrap_or_else(|e| fail(e));
-
-    if let (Some(limit), Some(prev)) = (max_regress, previous) {
-        let floor = prev * (1.0 - limit);
-        if iops < floor {
-            eprintln!(
-                "regression: {iops:.0} units/s is below {floor:.0} \
-                 ({prev:.0} from the previous matching run, −{:.0}%)",
-                limit * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!("regression gate ok: {iops:.0} units/s vs {prev:.0} previous (floor {floor:.0})");
-    } else if max_regress.is_some() {
-        println!("regression gate: no previous matching run to compare against");
-    }
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else {
@@ -632,7 +384,6 @@ fn main() {
     match command.as_str() {
         "mkfs" => mkfs(&dir, args),
         "fill" => fill(&dir, args),
-        "bench" => bench(&dir, args),
         "fail" => fail_disk(&dir, parse(&mut args, "fail DISK")),
         "rebuild" => rebuild(&dir, args),
         "verify" => verify(&dir, args),

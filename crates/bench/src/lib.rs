@@ -1,5 +1,4 @@
-//! Shared plumbing for the figure-regeneration binaries and the
-//! dependency-free micro-benchmarks.
+//! Shared plumbing for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md's per-experiment index) and prints it as text.
@@ -13,19 +12,15 @@
 //! * `--threads T` — worker threads for the sweep (default: one per core;
 //!   every sweep produces identical output at any thread count).
 //!
-//! The files under `benches/` use [`Micro`], a self-calibrating
-//! wall-clock harness built on [`std::hint::black_box`] — the build
-//! environment has no crates.io access, so Criterion is not available.
+//! Performance is measured by the standalone `benchmark/` package, not
+//! here.
 
 #![warn(missing_docs)]
 
 pub mod trace;
-pub mod trajectory;
 
 use decluster_experiments::{ExperimentScale, Runner, SweepReport, SweepRun};
-use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 /// The common CLI of every figure binary.
 #[derive(Debug, Clone)]
@@ -170,63 +165,6 @@ pub fn sweep_or_exit<T, E: std::fmt::Display>(
     })
 }
 
-/// A self-calibrating micro-benchmark harness: wall-clock timing with
-/// [`black_box`], no external dependencies.
-///
-/// Each case warms up for ~20 ms to estimate the per-iteration cost, then
-/// measures enough iterations for ~50 ms of runtime and prints ns/iter.
-/// Numbers are indicative (single sample, shared machine) — the harness
-/// exists so `cargo bench` keeps exercising exactly the code paths the
-/// figures use, and to make before/after comparisons cheap.
-#[derive(Debug)]
-pub struct Micro {
-    filter: Option<String>,
-    cases: usize,
-}
-
-impl Micro {
-    /// Builds the harness from the process arguments; the first non-flag
-    /// argument is a substring filter on case names (Cargo's `--bench`
-    /// flag is ignored).
-    pub fn from_args(what: &str) -> Micro {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        println!("# {what} micro-benchmarks (indicative single-sample wall clock)");
-        Micro { filter, cases: 0 }
-    }
-
-    /// Measures `f` if `name` passes the filter, printing ns/iter.
-    pub fn case<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        self.cases += 1;
-        // Warmup: run for ~20 ms to estimate the per-iteration cost.
-        let warmup = Duration::from_millis(20);
-        let start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while start.elapsed() < warmup {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_iter = start.elapsed().as_secs_f64() / warm_iters as f64;
-        // Measure: enough iterations for ~50 ms.
-        let iters = ((0.05 / per_iter).ceil() as u64).clamp(1, 10_000_000);
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-        println!("bench {name:<44} {ns:>14.0} ns/iter  ({iters} iters)");
-    }
-
-    /// Cases actually measured (after filtering).
-    pub fn cases_run(&self) -> usize {
-        self.cases
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,29 +181,5 @@ mod tests {
     fn header_mentions_scale() {
         // print_header only writes to stdout; smoke-test it doesn't panic.
         print_header("test", &ExperimentScale::tiny());
-    }
-
-    #[test]
-    fn micro_measures_a_trivial_case() {
-        let mut m = Micro {
-            filter: None,
-            cases: 0,
-        };
-        let mut x = 0u64;
-        m.case("trivial", || {
-            x = x.wrapping_add(1);
-            x
-        });
-        assert_eq!(m.cases_run(), 1);
-    }
-
-    #[test]
-    fn micro_filter_skips_mismatches() {
-        let mut m = Micro {
-            filter: Some("nothing-matches-this".into()),
-            cases: 0,
-        };
-        m.case("trivial", || 1u64);
-        assert_eq!(m.cases_run(), 0);
     }
 }

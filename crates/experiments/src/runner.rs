@@ -225,8 +225,8 @@ impl<T, E> SweepRun<Result<T, E>> {
     }
 }
 
-/// Throughput summary of one sweep, as recorded in
-/// `results/bench_sweep.json`.
+/// Throughput summary of one sweep, printed as the figure binaries'
+/// footer line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// What was swept (e.g. `"fig6-smoke"`).
@@ -244,22 +244,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Renders the report as a JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"jobs\":{},\"threads\":{},",
-                "\"wall_secs\":{:.6},\"events\":{},\"events_per_sec\":{:.1}}}"
-            ),
-            escape_json(&self.name),
-            self.jobs,
-            self.threads,
-            self.wall_secs,
-            self.events,
-            self.events_per_sec,
-        )
-    }
-
     /// One-line human rendering for run footers.
     pub fn summary_line(&self) -> String {
         format!(
@@ -273,40 +257,6 @@ impl SweepReport {
             self.events_per_sec,
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Writes sweep reports as a JSON array, creating parent directories.
-///
-/// # Errors
-///
-/// Returns any underlying filesystem error.
-pub fn write_reports(
-    path: impl AsRef<std::path::Path>,
-    reports: &[SweepReport],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let body: Vec<String> = reports
-        .iter()
-        .map(|r| format!("  {}", r.to_json()))
-        .collect();
-    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n")))
 }
 
 #[cfg(test)]
@@ -384,41 +334,5 @@ mod tests {
         assert_eq!(report.events, 250);
         assert!(report.wall_secs >= 0.0);
         assert!(report.summary_line().contains("demo"));
-    }
-
-    #[test]
-    fn json_is_well_formed() {
-        let report = SweepReport {
-            name: "fig6 \"smoke\"".into(),
-            jobs: 7,
-            threads: 4,
-            wall_secs: 1.5,
-            events: 1000,
-            events_per_sec: 666.7,
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\\\"smoke\\\""));
-        assert!(json.contains("\"jobs\":7"));
-        assert!(json.contains("\"events\":1000"));
-    }
-
-    #[test]
-    fn write_reports_creates_the_file() {
-        let dir = std::env::temp_dir().join("decluster-runner-test");
-        let path = dir.join("sweep.json");
-        let report = SweepReport {
-            name: "t".into(),
-            jobs: 1,
-            threads: 1,
-            wall_secs: 0.1,
-            events: 10,
-            events_per_sec: 100.0,
-        };
-        write_reports(&path, &[report.clone(), report]).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.trim_start().starts_with('['));
-        assert_eq!(body.matches("\"name\":\"t\"").count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,6 +28,7 @@
 //! episode it creates so a torture harness can demand that the store
 //! accounted for each one.
 
+use crate::pool::lock;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io;
@@ -484,12 +485,6 @@ impl FaultPlan {
 
 fn eio(msg: &str) -> io::Error {
     io::Error::other(msg.to_string())
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A [`DiskBackend`] decorator injecting the faults its [`FaultPlan`]

@@ -38,7 +38,6 @@ pub use backend::{
 pub use bitmap::{default_region, IntentBitmap};
 pub use error::{MediaKind, Result, StoreError};
 pub use health::FaultCounters;
-pub use pool::StorePool;
 pub use repair::ScrubReport;
 pub use stats::{DiskStats, StoreStats};
 pub use store::{BackendFactory, BlockStore, DiskCounters, RebuildReport};

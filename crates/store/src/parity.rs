@@ -6,8 +6,9 @@
 //! exactly one place. The XOR paths operate on eight-byte lanes, four
 //! lanes per step (32 bytes), which LLVM turns into SIMD on every
 //! target we build for; the scalar tail handles lengths that are not a
-//! multiple of 32. The `parity_xor` bench binary reports the measured
-//! GB/s against a byte-at-a-time reference (`results/xor_bench.json`).
+//! multiple of 32. The unit tests pin both kernels to a byte-at-a-time
+//! reference at every tail length; `parity.xor_into_gbps` and
+//! `parity.xor_delta_gbps` in the benchmark's traced run measure them.
 //!
 //! The GF(256) half implements the RAID-6 field (polynomial `0x11D`,
 //! generator 2): `Q = Σ gᶦ·dᵢ` over the data units, with delta updates
@@ -211,9 +212,15 @@ mod tests {
             .collect()
     }
 
+    /// Lengths around every lane and step boundary, plus unit-sized and
+    /// larger buffers.
+    const LENGTHS: [usize; 15] = [
+        0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 511, 512, 4096, 4097, 65536,
+    ];
+
     #[test]
     fn xor_into_matches_byte_reference_at_every_alignment() {
-        for len in [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 511, 512, 4096, 4097] {
+        for len in LENGTHS {
             let src = pattern(3 + len as u64, len);
             let mut wide = pattern(17 + len as u64, len);
             let mut scalar = wide.clone();
@@ -227,7 +234,7 @@ mod tests {
 
     #[test]
     fn xor_delta_matches_byte_reference_at_every_alignment() {
-        for len in [0, 1, 8, 31, 32, 33, 4096, 4097] {
+        for len in LENGTHS {
             let old = pattern(5 + len as u64, len);
             let new = pattern(11 + len as u64, len);
             let mut wide = pattern(23 + len as u64, len);

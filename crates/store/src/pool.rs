@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 /// A fixed-width pool running batches of closures on scoped threads.
 #[derive(Debug, Clone, Copy)]
-pub struct StorePool {
+pub(crate) struct StorePool {
     threads: usize,
 }
 

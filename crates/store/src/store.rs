@@ -317,7 +317,7 @@ struct RebuildChunk {
 /// A file-backed declustered array.
 ///
 /// All I/O methods take `&self`; the store is `Sync` and safe to drive
-/// from a [`StorePool`].
+/// from many threads at once.
 #[derive(Debug)]
 pub struct BlockStore {
     dir: PathBuf,

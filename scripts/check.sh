@@ -2,7 +2,9 @@
 # Full local gate: formatting, release build, test suite, lint-clean
 # clippy, campaign smoke runs (including the scrub/crash arms, one at
 # default scale), a file-backed store smoke cycle, and a network block
-# service smoke (sessioned clients through fail + rebuild).
+# service smoke (sessioned clients through fail + rebuild). It checks
+# correctness only and writes only to a temp dir; performance is
+# measured by benchmark/.
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -20,16 +22,17 @@ cargo test -q
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+SCRUB_SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SCRUB_SMOKE_DIR"' EXIT
+
 echo "==> campaign smoke (tiny Monte Carlo data-loss campaign + replay, all arms)"
 cargo run --release -q -p decluster-bench --bin campaign -- \
     --cylinders 30 --trials 4 \
-    --out results/campaign_smoke.json
+    --out "$SCRUB_SMOKE_DIR/campaign_smoke.json"
 cargo run --release -q -p decluster-bench --bin campaign -- \
     --cylinders 30 --trials 4 --replay declustered-g4 0
 
-echo "==> scrub/crash campaign smoke (arms on, output to a temp dir)"
-SCRUB_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCRUB_SMOKE_DIR"' EXIT
+echo "==> scrub/crash campaign smoke (arms on)"
 cargo run --release -q -p decluster-bench --bin campaign -- \
     --cylinders 30 --trials 2 --scrub-trials 2 --crash-trials 1 \
     --out "$SCRUB_SMOKE_DIR/campaign_scrub_smoke.json"
@@ -47,7 +50,7 @@ cargo run --release -q -p decluster-bench --bin campaign -- \
 grep -q '"scrub_trials_per_layout":1' "$SCRUB_SMOKE_DIR/campaign_default_scale.json" || {
     echo "scrub arm did not run at default scale"; exit 1; }
 
-echo "==> store smoke (mkfs / fill / fail / degraded verify / rebuild / verify / bench)"
+echo "==> store smoke (mkfs / fill / fail / degraded verify / rebuild / verify / scrub)"
 STORE_SMOKE_DIR="$SCRUB_SMOKE_DIR/store"
 cargo run --release -q -p decluster-bench --bin store -- \
     mkfs "$STORE_SMOKE_DIR" --disks 10 --group 4 --units 336 --unit-bytes 4096
@@ -57,10 +60,6 @@ cargo run --release -q -p decluster-bench --bin store -- fail "$STORE_SMOKE_DIR"
 cargo run --release -q -p decluster-bench --bin store -- verify "$STORE_SMOKE_DIR" --seed 5
 cargo run --release -q -p decluster-bench --bin store -- rebuild "$STORE_SMOKE_DIR" --threads 4
 cargo run --release -q -p decluster-bench --bin store -- verify "$STORE_SMOKE_DIR" --seed 5
-cargo run --release -q -p decluster-bench --bin store -- \
-    bench "$STORE_SMOKE_DIR" --requests 800 --threads 4 --seed 5 \
-    --max-regress 0.30 \
-    --out results/store_bench.json
 cargo run --release -q -p decluster-bench --bin store -- scrub "$STORE_SMOKE_DIR"
 
 echo "==> layout registry smoke (algorithmic generators meet criteria 1-3)"
@@ -81,15 +80,11 @@ cargo run --release -q -p decluster-bench --bin store -- scrub "$PQ_SMOKE_DIR"
 
 echo "==> network block service smoke (4 clients through fill/fail/rebuild/verify)"
 cargo run --release -q -p decluster-bench --bin load_gen -- \
-    --smoke --out results/server_bench.json
+    --smoke --out "$SCRUB_SMOKE_DIR/load_gen_smoke.json"
 
 echo "==> hostile-disk torture smoke (fixed seed, ledger + oracle gate)"
 cargo run --release -q -p decluster-bench --bin torture -- \
-    --smoke --seed 3512496146 --out results/torture.json
-
-echo "==> parity XOR kernel smoke (self-check + GB/s into results/xor_bench.json)"
-cargo run --release -q -p decluster-bench --bin parity_xor -- \
-    --out results/xor_bench.json
+    --smoke --seed 3512496146 --out "$SCRUB_SMOKE_DIR/torture_smoke.json"
 
 echo "==> observability smoke (fig6 --trace record + bit-for-bit replay)"
 TRACE_FILE="$SCRUB_SMOKE_DIR/fig6.trace"
