@@ -28,7 +28,7 @@
 //! episode it creates so a torture harness can demand that the store
 //! accounted for each one.
 
-use crate::pool::lock;
+use crate::lock;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io;
@@ -731,12 +731,7 @@ mod tests {
 
     #[test]
     fn write_full_at_propagates_hard_errors() {
-        let err = write_full_at(
-            |_, _| Err(io::Error::new(io::ErrorKind::Other, "media")),
-            &[1, 2, 3],
-            0,
-        )
-        .unwrap_err();
+        let err = write_full_at(|_, _| Err(io::Error::other("media")), &[1, 2, 3], 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Other);
     }
 

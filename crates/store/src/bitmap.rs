@@ -12,7 +12,7 @@
 //! Three decisions keep the log off the write hot path, at the price of
 //! a (bounded) wider post-crash resync:
 //!
-//! * **Region granularity.** One bit covers [`IntentBitmap::region`]
+//! * **Region granularity.** One bit covers `region`
 //!   consecutive stripe sequence numbers (chosen at `mkfs` so the map
 //!   has ~32 regions). The first write into a region pays one page
 //!   write + fdatasync; every later write into it is free until the
@@ -30,7 +30,7 @@
 //!   region count.
 
 use crate::error::{Result, StoreError};
-use crate::pool::lock;
+use crate::lock;
 use crate::superblock::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -47,14 +47,14 @@ const PAGE_BYTES: usize = 4096;
 /// The region size `mkfs` picks: about 32 regions over the store's
 /// stripes, so first-touch syncs amortize quickly while a post-crash
 /// dirty-region resync stays a small fraction of a full one.
-pub fn default_region(stripes: u64) -> u32 {
+pub(crate) fn default_region(stripes: u64) -> u32 {
     stripes.div_ceil(32).clamp(1, u32::MAX as u64) as u32
 }
 
 /// A persistent dirty-region map over the store's dense stripe
 /// sequence numbers.
 #[derive(Debug)]
-pub struct IntentBitmap {
+pub(crate) struct IntentBitmap {
     path: PathBuf,
     file: File,
     stripes: u64,
@@ -168,11 +168,13 @@ impl IntentBitmap {
     }
 
     /// Number of stripes covered.
+    #[cfg(test)]
     pub fn stripes(&self) -> u64 {
         self.stripes
     }
 
     /// Stripes per dirty bit.
+    #[cfg(test)]
     pub fn region(&self) -> u32 {
         self.region
     }
@@ -250,6 +252,7 @@ impl IntentBitmap {
     }
 
     /// Whether a region covering stripe `seq` is dirty in memory.
+    #[cfg(test)]
     pub fn is_dirty(&self, seq: u64) -> bool {
         if seq >= self.stripes {
             return false;
@@ -274,6 +277,7 @@ impl IntentBitmap {
     }
 
     /// Dirty regions in memory.
+    #[cfg(test)]
     pub fn count(&self) -> u64 {
         self.bits.iter().map(|b| b.count_ones() as u64).sum()
     }

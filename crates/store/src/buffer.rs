@@ -8,7 +8,7 @@
 //! or asks for [`BufferPool::get_zeroed`]), and dropping the returned
 //! [`PooledBuf`] pushes it back unless the freelist is full.
 
-use crate::pool::lock;
+use crate::lock;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 

@@ -1,8 +1,8 @@
 //! Per-unit data checksums and the on-disk checksum region.
 //!
 //! Every stripe unit carries a 64-bit folded checksum, stored in a
-//! per-disk region between the superblock and the data (v2 stores;
-//! see [`region_bytes`]). The store keeps the table **in memory**
+//! per-disk region between the superblock and the data (see
+//! [`region_bytes`]). The store keeps the table **in memory**
 //! (loaded at open, persisted at close / recovery / rebuild) so the
 //! write hot path stays syscall-identical to a checksum-less store:
 //! a unit write updates one atomic slot, a unit read verifies against

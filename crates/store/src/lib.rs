@@ -26,7 +26,6 @@ pub mod checksum;
 mod error;
 mod health;
 pub mod parity;
-mod pool;
 mod repair;
 mod stats;
 mod store;
@@ -35,13 +34,18 @@ mod superblock;
 pub use backend::{
     DiskBackend, FaultPlan, FaultyBackend, FileBackend, InjectedFaults, LatencyProfile,
 };
-pub use bitmap::{default_region, IntentBitmap};
 pub use error::{MediaKind, Result, StoreError};
 pub use health::FaultCounters;
 pub use repair::ScrubReport;
 pub use stats::{DiskStats, StoreStats};
 pub use store::{BackendFactory, BlockStore, DiskCounters, RebuildReport};
-pub use superblock::{
-    LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES, VERSION, VERSION_NO_CHECKSUMS,
-    VERSION_TAGGED,
-};
+pub use superblock::{LayoutSpec, BLOCK_BYTES, SUPERBLOCK_BYTES};
+
+/// Locks a mutex, treating poisoning as recoverable: the store's
+/// invariants live in the on-disk state, not the guarded values, so a
+/// panicking peer doesn't invalidate the data behind the lock.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

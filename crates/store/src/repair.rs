@@ -12,8 +12,8 @@
 //! 3. reconstruct the unit from the stripe's other members and write
 //!    it back (read-repair: clears persistent bad sectors, refreshes
 //!    the checksum slot);
-//! 4. if the stripe's redundancy is already spent — a member lost, a
-//!    peer faulty, the store read-only — escalate the original error
+//! 4. if the stripe's redundancy is already spent — a member lost or a
+//!    peer faulty — escalate the original error
 //!    as a typed [`StoreError::Media`]. Never wrong bytes.
 //!
 //! Each detection increments exactly one of the checksum/media
@@ -22,7 +22,7 @@
 //! fault plan's injection counters.
 
 use crate::error::{MediaKind, Result, StoreError};
-use crate::pool::lock;
+use crate::lock;
 use crate::store::BlockStore;
 use decluster_core::layout::UnitAddr;
 use std::sync::mpsc;
@@ -128,9 +128,7 @@ impl BlockStore {
         out: &mut [u8],
         cause: StoreError,
     ) -> Result<()> {
-        let stripe = self.mapping.role_at(addr.disk, addr.offset).stripe();
-        let repairable = stripe.is_some() && !self.read_only();
-        let Some(stripe) = stripe.filter(|_| repairable) else {
+        let Some(stripe) = self.mapping.role_at(addr.disk, addr.offset).stripe() else {
             self.health.note_escalated();
             return Err(cause);
         };
@@ -251,13 +249,9 @@ impl BlockStore {
     ///
     /// # Errors
     ///
-    /// Fails if `repair` is requested on a read-only store, or
-    /// persisting the checksum region fails. Per-unit faults land in
-    /// the report, not the error.
+    /// Fails if persisting the checksum region fails. Per-unit faults
+    /// land in the report, not the error.
     pub fn scrub(&self, repair: bool) -> Result<ScrubReport> {
-        if repair {
-            self.check_writable()?;
-        }
         let mut report = ScrubReport::default();
         let mut buf = self.buffers.get();
         for seq in 0..self.mapping.stripes() {

@@ -56,8 +56,6 @@ pub struct StoreStats {
     pub degraded: bool,
     /// The failed disk, if any.
     pub failed_disk: Option<u16>,
-    /// Whether the store was opened read-only (v1 format).
-    pub read_only: bool,
     /// Array-wide fault-handling counters (detections, retries,
     /// checksum repairs, escalations, hedges, demotions).
     pub faults: FaultCounters,
@@ -92,7 +90,6 @@ impl StoreStats {
             block_count: store.block_count(),
             degraded: failed.is_some(),
             failed_disk: failed,
-            read_only: store.read_only(),
             faults: store.fault_counters(),
             per_disk,
         }
@@ -114,7 +111,6 @@ impl StoreStats {
             Some(d) => push_u64(&mut out, "failed_disk", d as u64),
             None => push_raw(&mut out, "failed_disk", "null"),
         }
-        push_bool(&mut out, "read_only", self.read_only);
         out.push_str("\"faults\":{");
         let f = &self.faults;
         push_u64(&mut out, "media_errors", f.media_errors);
@@ -223,7 +219,6 @@ mod tests {
             block_count: 2880,
             degraded: true,
             failed_disk: Some(7),
-            read_only: false,
             faults: FaultCounters {
                 checksum_errors: 2,
                 repaired: 2,
@@ -262,7 +257,6 @@ mod tests {
             block_count: 128,
             degraded: false,
             failed_disk: None,
-            read_only: false,
             faults: FaultCounters::default(),
             per_disk: Vec::new(),
         };

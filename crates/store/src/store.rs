@@ -40,16 +40,14 @@ use crate::buffer::{BufferPool, PooledBuf};
 use crate::checksum::{fingerprint64, region_bytes, ChecksumTable};
 use crate::error::{Result, StoreError};
 use crate::health::{FaultCounters, HealthMonitor};
+use crate::lock;
 use crate::parity;
-use crate::pool::{lock, StorePool};
 use crate::stats::StoreStats;
-use crate::superblock::{
-    LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES, VERSION, VERSION_NO_CHECKSUMS,
-    VERSION_TAGGED,
-};
+use crate::superblock::{LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES};
 use decluster_array::{ConsistencyReport, RecoveryPolicy};
 use decluster_core::layout::{ArrayMapping, UnitAddr, UnitRole};
 use std::fs::OpenOptions;
+use std::num::NonZeroUsize;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,11 +80,11 @@ pub(crate) struct DiskFile {
     pub(crate) index: u16,
     path: PathBuf,
     backend: Box<dyn DiskBackend>,
-    /// Byte offset of the data area: superblock, then (v2) the
-    /// checksum region.
+    /// Byte offset of the data area: superblock, then the checksum
+    /// region.
     data_start: u64,
-    /// In-memory checksum table; `None` on v1 (pre-checksum) stores.
-    sums: Option<ChecksumTable>,
+    /// In-memory checksum table.
+    sums: ChecksumTable,
     reads: AtomicU64,
     writes: AtomicU64,
 }
@@ -115,16 +113,14 @@ impl DiskFile {
     }
 
     /// Verifies `data` (the unit at `offset`, as just read) against the
-    /// checksum table. v1 stores have no table and always pass.
+    /// checksum table.
     pub(crate) fn check_sum(&self, offset: u64, data: &[u8]) -> Result<()> {
-        if let Some(sums) = &self.sums {
-            if sums.get(offset) != fingerprint64(data) {
-                return Err(StoreError::Media {
-                    disk: self.index,
-                    offset,
-                    kind: crate::error::MediaKind::Checksum,
-                });
-            }
+        if self.sums.get(offset) != fingerprint64(data) {
+            return Err(StoreError::Media {
+                disk: self.index,
+                offset,
+                kind: crate::error::MediaKind::Checksum,
+            });
         }
         Ok(())
     }
@@ -135,9 +131,7 @@ impl DiskFile {
         self.backend
             .write_at(data, pos)
             .map_err(|e| StoreError::media(self.index, offset, &e))?;
-        if let Some(sums) = &self.sums {
-            sums.set(offset, fingerprint64(data));
-        }
+        self.sums.set(offset, fingerprint64(data));
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -151,10 +145,8 @@ impl DiskFile {
         self.backend
             .write_at(data, pos)
             .map_err(|e| StoreError::media(self.index, offset, &e))?;
-        if let Some(sums) = &self.sums {
-            for (i, unit) in data.chunks_exact(unit_bytes).enumerate() {
-                sums.set(offset + i as u64, fingerprint64(unit));
-            }
+        for (i, unit) in data.chunks_exact(unit_bytes).enumerate() {
+            self.sums.set(offset + i as u64, fingerprint64(unit));
         }
         self.writes
             .fetch_add((data.len() / unit_bytes) as u64, Ordering::Relaxed);
@@ -164,19 +156,14 @@ impl DiskFile {
     /// Refreshes the checksum slot for `offset` from bytes known to be
     /// on disk — crash recovery healing possibly-stale slots.
     fn note_contents(&self, offset: u64, data: &[u8]) {
-        if let Some(sums) = &self.sums {
-            sums.set(offset, fingerprint64(data));
-        }
+        self.sums.set(offset, fingerprint64(data));
     }
 
     /// Persists the in-memory checksum table into the on-disk region.
     fn persist_sums(&self) -> Result<()> {
-        if let Some(sums) = &self.sums {
-            self.backend
-                .write_at(&sums.encode(), SUPERBLOCK_BYTES)
-                .map_err(|e| StoreError::io("write checksum region", &self.path, e))?;
-        }
-        Ok(())
+        self.backend
+            .write_at(&self.sums.encode(), SUPERBLOCK_BYTES)
+            .map_err(|e| StoreError::io("write checksum region", &self.path, e))
     }
 
     fn write_superblock(&self, sb: &Superblock) -> Result<()> {
@@ -324,9 +311,6 @@ pub struct BlockStore {
     pub(crate) mapping: ArrayMapping,
     spec: LayoutSpec,
     array_id: u64,
-    /// On-disk format version of the opened array; v1 stores (no
-    /// checksum region) are read-only.
-    version: u32,
     pub(crate) unit_bytes: usize,
     blocks_per_unit: u64,
     pub(crate) disks: Vec<Arc<DiskFile>>,
@@ -421,12 +405,11 @@ impl BlockStore {
                 path,
                 backend,
                 data_start,
-                sums: Some(ChecksumTable::zeroed(units_per_disk, unit_bytes as usize)),
+                sums: ChecksumTable::zeroed(units_per_disk, unit_bytes as usize),
                 reads: AtomicU64::new(0),
                 writes: AtomicU64::new(0),
             };
             d.write_superblock(&Superblock {
-                version: VERSION,
                 spec,
                 unit_bytes,
                 units_per_disk,
@@ -445,7 +428,6 @@ impl BlockStore {
             mapping,
             spec,
             array_id,
-            VERSION,
             unit_bytes,
             disks,
             intent,
@@ -484,11 +466,6 @@ impl BlockStore {
 
     /// As [`BlockStore::open_with_recovery`], but each disk's I/O goes
     /// through the backend `factory` builds for it.
-    ///
-    /// A pre-checksum (v1) store opens **read-only**: reads work, every
-    /// mutating operation returns [`StoreError::Mismatch`] naming the
-    /// format gap, and crash recovery is skipped (it would have to
-    /// write).
     ///
     /// # Errors
     ///
@@ -572,6 +549,22 @@ impl BlockStore {
                 }
             }
         }
+        // Nothing is sized from the geometry until the files prove it: a
+        // forged `units_per_disk` must fail here, not in an allocation.
+        let size = reference.disk_bytes().ok_or_else(|| {
+            StoreError::corrupt(dir, "superblock geometry overflows a 64-bit file size")
+        })?;
+        for (path, _) in decoded.iter().filter(|(_, res)| res.is_ok()) {
+            let len = std::fs::metadata(path)
+                .map_err(|e| StoreError::io("stat backing file", path, e))?
+                .len();
+            if len < size {
+                return Err(StoreError::corrupt(
+                    path,
+                    format!("{len} bytes, but the superblock geometry needs {size}"),
+                ));
+            }
+        }
         let mapping = ArrayMapping::new(reference.spec.build()?, reference.units_per_disk)?;
         if failed.len() > mapping.parity_units_per_stripe() as usize {
             return Err(StoreError::Mismatch {
@@ -583,7 +576,6 @@ impl BlockStore {
             });
         }
         let data_start = reference.data_start();
-        let with_sums = reference.version >= VERSION_TAGGED;
         let units = reference.units_per_disk;
         let disks = decoded
             .into_iter()
@@ -591,19 +583,17 @@ impl BlockStore {
             .map(|(i, (path, _))| -> Result<Arc<DiskFile>> {
                 let file = DiskFile::open_file(&path, false)?;
                 let backend = factory(i as u16, file);
-                let sums = if !with_sums {
-                    None
-                } else if failed.contains(&(i as u16)) {
+                let sums = if failed.contains(&(i as u16)) {
                     // The failed disk's region is gone with its medium;
                     // nothing reads it until a replacement is installed
                     // (which resets the table to the zeroed state).
-                    Some(ChecksumTable::zeroed(units, reference.unit_bytes as usize))
+                    ChecksumTable::zeroed(units, reference.unit_bytes as usize)
                 } else {
                     let mut region = vec![0u8; region_bytes(units) as usize];
                     backend
                         .read_at(&mut region, SUPERBLOCK_BYTES)
                         .map_err(|e| StoreError::io("read checksum region", &path, e))?;
-                    Some(ChecksumTable::decode(&region, units))
+                    ChecksumTable::decode(&region, units)
                 };
                 Ok(Arc::new(DiskFile {
                     index: i as u16,
@@ -622,21 +612,18 @@ impl BlockStore {
             mapping,
             reference.spec,
             reference.array_id,
-            reference.version,
             reference.unit_bytes,
             disks,
             intent,
             failed,
         )?;
-        let report = if clean || store.read_only() {
+        let report = if clean {
             None
         } else {
             Some(store.recover(policy)?)
         };
-        if !store.read_only() {
-            // Mark open: a crash from here on must trigger recovery again.
-            store.write_superblocks(false)?;
-        }
+        // Mark open: a crash from here on must trigger recovery again.
+        store.write_superblocks(false)?;
         Ok((store, report))
     }
 
@@ -646,7 +633,6 @@ impl BlockStore {
         mapping: ArrayMapping,
         spec: LayoutSpec,
         array_id: u64,
-        version: u32,
         unit_bytes: u32,
         disks: Vec<Arc<DiskFile>>,
         intent: IntentBitmap,
@@ -664,7 +650,6 @@ impl BlockStore {
             mapping,
             spec,
             array_id,
-            version,
             disks,
             locks: (0..lock_count).map(|_| Mutex::new(())).collect(),
             state: Mutex::new(FaultState {
@@ -693,9 +678,6 @@ impl BlockStore {
     ///
     /// Returns the first flush or superblock write that fails.
     pub fn close(self) -> Result<()> {
-        if self.read_only() {
-            return Ok(());
-        }
         self.persist_all_sums()?;
         lock(&self.intent).clear_all()?;
         for d in &self.disks {
@@ -763,12 +745,6 @@ impl BlockStore {
         lock(&self.state).failed.iter().map(|f| f.disk).collect()
     }
 
-    /// Whether the store is read-only (opened from the pre-checksum v1
-    /// format).
-    pub fn read_only(&self) -> bool {
-        self.version == VERSION_NO_CHECKSUMS
-    }
-
     /// Cumulative fault-handling counters: detections, retries,
     /// repairs, escalations, hedged reads, demotions.
     pub fn fault_counters(&self) -> FaultCounters {
@@ -811,9 +787,6 @@ impl BlockStore {
     ///
     /// Returns the first checksum persist or file sync that fails.
     pub fn flush(&self) -> Result<()> {
-        if self.read_only() {
-            return Ok(());
-        }
         self.persist_all_sums()?;
         for d in &self.disks {
             d.sync()?;
@@ -829,19 +802,6 @@ impl BlockStore {
         self.health.set_budget(budget);
     }
 
-    pub(crate) fn check_writable(&self) -> Result<()> {
-        if self.read_only() {
-            return Err(StoreError::Mismatch {
-                reason: format!(
-                    "store format v{VERSION_NO_CHECKSUMS} predates per-unit checksums \
-                     (current is v{VERSION}); opened read-only — migrate by copying \
-                     into a freshly created store"
-                ),
-            });
-        }
-        Ok(())
-    }
-
     /// Applies a pending error-budget demotion, if one is flagged: the
     /// sick disk becomes the failed disk — its data is left in place
     /// but no longer trusted — and the surviving superblocks record the
@@ -852,7 +812,7 @@ impl BlockStore {
     ///
     /// Fails if recording the degradation in the superblocks fails.
     pub fn apply_pending_demotion(&self) -> Result<Option<u16>> {
-        if !self.health.pending_demotion() || self.read_only() {
+        if !self.health.pending_demotion() {
             return Ok(None);
         }
         let Some(disk) = self.health.take_pending_demotion() else {
@@ -1116,7 +1076,6 @@ impl BlockStore {
     ///
     /// As for [`BlockStore::read_blocks`].
     pub fn write_blocks(&self, block: u64, data: &[u8]) -> Result<()> {
-        self.check_writable()?;
         self.apply_pending_demotion()?;
         self.check_extent(block, data.len())?;
         if data.is_empty() {
@@ -1309,7 +1268,6 @@ impl BlockStore {
     ///
     /// As for [`BlockStore::read_unit`].
     pub fn write_unit(&self, logical: u64, data: &[u8]) -> Result<()> {
-        self.check_writable()?;
         self.apply_pending_demotion()?;
         if data.len() != self.unit_bytes {
             return Err(StoreError::state(format!(
@@ -1475,7 +1433,6 @@ impl BlockStore {
     /// many disks as its parity tolerates, `disk` is out of range, or a
     /// file operation fails.
     pub fn fail_disk(&self, disk: u16) -> Result<()> {
-        self.check_writable()?;
         if disk >= self.mapping.disks() {
             return Err(StoreError::state(format!("disk {disk} out of range")));
         }
@@ -1530,7 +1487,6 @@ impl BlockStore {
     /// Fails if no disk is down, every failed disk already has a
     /// replacement, or a file operation fails.
     pub fn replace_disk(&self) -> Result<()> {
-        self.check_writable()?;
         let _guards = self.lock_all_stripes();
         let mut st = lock(&self.state);
         if st.failed.is_empty() {
@@ -1550,11 +1506,8 @@ impl BlockStore {
                 .set_len(0)
                 .and_then(|()| d.backend.set_len(size))
                 .map_err(|e| StoreError::io("zero replacement disk", &d.path, e))?;
-            if let Some(sums) = &d.sums {
-                sums.reset_zeroed(self.unit_bytes);
-            }
+            d.sums.reset_zeroed(self.unit_bytes);
             d.write_superblock(&Superblock {
-                version: self.version,
                 spec: self.spec,
                 unit_bytes: self.unit_bytes as u32,
                 units_per_disk,
@@ -1581,7 +1534,6 @@ impl BlockStore {
     ///
     /// Fails if no replacement is installed or any disk I/O fails.
     pub fn rebuild(&self, threads: usize) -> Result<RebuildReport> {
-        self.check_writable()?;
         let failed: Vec<u16> = {
             let st = lock(&self.state);
             if st.failed.is_empty() {
@@ -1596,20 +1548,30 @@ impl BlockStore {
         };
         let start = Instant::now();
         let before = self.io_counters();
-        let pool = StorePool::new(threads);
+        let workers = match threads {
+            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            n => n,
+        } as u64;
         let units = self.mapping.units_per_disk();
-        let workers = pool.threads().max(1) as u64;
         let span = units.div_ceil(workers);
-        let jobs: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * span;
-                let hi = units.min(lo + span);
-                let failed = failed.clone();
-                move || self.rebuild_range(&failed, lo, hi)
-            })
-            .collect();
+        // One contiguous offset range per worker; results come back in
+        // range order, so the first error reported is the lowest range's.
+        let chunks: Vec<Result<RebuildChunk>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let lo = w * span;
+                    let hi = units.min(lo + span);
+                    let failed = &failed;
+                    scope.spawn(move || self.rebuild_range(failed, lo, hi))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
         let mut totals = RebuildChunk::default();
-        for chunk in pool.run(jobs) {
+        for chunk in chunks {
             let chunk = chunk?;
             totals.rebuilt += chunk.rebuilt;
             totals.already_valid += chunk.already_valid;
@@ -1772,7 +1734,6 @@ impl BlockStore {
     /// Fails if the stripe is unmapped, its parity unit is lost, or the
     /// I/O fails.
     pub fn scramble_parity(&self, stripe: u64) -> Result<()> {
-        self.check_writable()?;
         let parity = self.live_parity(stripe)?;
         let _guard = self.lock_stripe(stripe);
         let mut buf = self.buffers.get();
@@ -1792,7 +1753,6 @@ impl BlockStore {
     /// error if one of the stripe's data units is lost (parity is then
     /// the only copy and must not be overwritten).
     pub fn recompute_parity(&self, stripe: u64) -> Result<()> {
-        self.check_writable()?;
         if !self.mapping.is_mapped(stripe) {
             return Err(StoreError::state(format!("stripe {stripe} is not mapped")));
         }
@@ -1942,7 +1902,6 @@ impl BlockStore {
                 continue;
             }
             d.write_superblock(&Superblock {
-                version: self.version,
                 spec: self.spec,
                 unit_bytes: self.unit_bytes as u32,
                 units_per_disk: self.mapping.units_per_disk(),
@@ -2113,6 +2072,30 @@ mod tests {
         std::fs::copy(b.join("disk-002.dat"), a.join("disk-002.dat")).unwrap();
         let err = BlockStore::open(&a).unwrap_err();
         assert!(matches!(err, StoreError::Mismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn forged_geometry_is_refused_before_anything_is_sized() {
+        let dir = fresh_dir("forged-geometry");
+        BlockStore::create(&dir, small_spec(), 32, 512, 17)
+            .unwrap()
+            .close()
+            .unwrap();
+        // Rewrite every superblock consistently and with a valid
+        // checksum, so only the geometry itself can give the lie away.
+        for units in [u64::MAX, 1 << 61, 1 << 36] {
+            for disk in 0..small_spec().disks() {
+                let path = disk_path(&dir, disk);
+                let file = DiskFile::open_file(&path, false).unwrap();
+                let mut buf = vec![0u8; SUPERBLOCK_BYTES as usize];
+                file.read_exact_at(&mut buf, 0).unwrap();
+                let mut sb = Superblock::decode(&buf, &path).unwrap();
+                sb.units_per_disk = units;
+                file.write_all_at(&sb.encode(), 0).unwrap();
+            }
+            let err = BlockStore::open(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{units}: {err}");
+        }
     }
 
     #[test]

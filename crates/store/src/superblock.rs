@@ -10,16 +10,12 @@
 //! corrupting data. The checksum (FNV-1a over the encoded fields) catches
 //! torn or scribbled headers.
 //!
-//! # Format history
-//!
-//! * **v3** (current) — persists the layout as its spec string
-//!   (`prime:c11g4`, `pq:c12g6`, …) so any registry family round-trips,
-//!   and carries **two** failed-disk slots for P+Q arrays.
-//! * **v2** — a 1-byte layout tag (declustered / complete / raid5) and a
-//!   single failed-disk slot. Such arrays stay fully usable and keep
-//!   their wire form when superblocks are rewritten.
-//! * **v1** — v2 without the per-unit checksum region. Opens read-only.
+//! There is one wire form, [`VERSION`] 3: the layout persisted as its
+//! spec string (`prime:c11g4`, `pq:c12g6`, …) so any registry family
+//! round-trips, and **two** failed-disk slots for P+Q arrays. Any other
+//! version is rejected as corrupt.
 
+use crate::checksum::{region_bytes, SLOT_BYTES};
 use crate::error::{Result, StoreError};
 use std::path::Path;
 
@@ -35,50 +31,17 @@ pub const BLOCK_BYTES: u32 = 512;
 const NO_FAILED_DISK: u16 = u16::MAX;
 
 const MAGIC: &[u8; 8] = b"DCLSTOR1";
-/// Current format: version 3 persists the layout spec string and two
+/// The on-disk format version: the layout spec string and two
 /// failed-disk slots (P+Q arrays tolerate two simultaneous failures).
-pub const VERSION: u32 = 3;
-/// The tag-based single-failure format, first to carry the per-disk
-/// checksum region. Still fully read-write.
-pub const VERSION_TAGGED: u32 = 2;
-/// The pre-checksum-region format. Still decodes — the store opens such
-/// arrays read-only instead of rejecting them as corrupt.
-pub const VERSION_NO_CHECKSUMS: u32 = 1;
-/// Bytes covered by the checksum in the v1/v2 wire form.
-const CHECKED_BYTES_V2: usize = 48;
-/// Bytes reserved for the spec string in the v3 wire form.
+const VERSION: u32 = 3;
+/// Bytes reserved for the spec string.
 const SPEC_BYTES: usize = 64;
-/// Bytes covered by the checksum in the v3 wire form.
-const CHECKED_BYTES_V3: usize = 44 + SPEC_BYTES;
-
-/// The v1/v2 1-byte layout tag for a spec, for superblocks rewritten in
-/// the legacy wire form. Only the three families that format could name
-/// are representable.
-fn legacy_tag(spec: &LayoutSpec) -> u8 {
-    match spec {
-        LayoutSpec::Bibd { .. } => 0,
-        LayoutSpec::Complete { .. } => 1,
-        LayoutSpec::Raid5 { .. } => 2,
-        other => panic!("layout `{other}` is not representable in a v1/v2 superblock"),
-    }
-}
-
-fn from_legacy_tag(tag: u8, disks: u16, group: u16) -> Option<LayoutSpec> {
-    Some(match tag {
-        0 => LayoutSpec::Bibd { disks, group },
-        1 => LayoutSpec::Complete { disks, group },
-        2 => LayoutSpec::Raid5 { disks },
-        _ => return None,
-    })
-}
+/// Bytes covered by the checksum.
+const CHECKED_BYTES: usize = 44 + SPEC_BYTES;
 
 /// One backing file's decoded superblock.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Superblock {
-    /// Format version this disk was written with ([`VERSION`] for new
-    /// stores; [`VERSION_TAGGED`] / [`VERSION_NO_CHECKSUMS`] for older
-    /// arrays).
-    pub version: u32,
+pub(crate) struct Superblock {
     /// Layout construction and parameters.
     pub spec: LayoutSpec,
     /// Bytes per stripe unit (a multiple of [`BLOCK_BYTES`]).
@@ -106,52 +69,27 @@ impl Superblock {
         v
     }
 
-    /// Encodes into a [`SUPERBLOCK_BYTES`] buffer with trailing checksum,
-    /// in the wire form of `self.version` (older arrays keep their
-    /// format; see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a legacy version is asked to encode a layout family or a
-    /// second failed disk the legacy format cannot represent — states a
-    /// genuine legacy array can never reach.
+    /// Encodes into a [`SUPERBLOCK_BYTES`] buffer with trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![0u8; SUPERBLOCK_BYTES as usize];
         buf[0..8].copy_from_slice(MAGIC);
-        buf[8..12].copy_from_slice(&self.version.to_le_bytes());
+        buf[8..12].copy_from_slice(&VERSION.to_le_bytes());
         buf[12..16].copy_from_slice(&BLOCK_BYTES.to_le_bytes());
         buf[16..20].copy_from_slice(&self.unit_bytes.to_le_bytes());
         buf[20..28].copy_from_slice(&self.units_per_disk.to_le_bytes());
-        if self.version < VERSION {
-            assert!(
-                self.failed[1].is_none(),
-                "a v1/v2 superblock cannot record a second failed disk"
-            );
-            buf[28..30].copy_from_slice(&self.spec.disks().to_le_bytes());
-            buf[30..32].copy_from_slice(&self.spec.group().to_le_bytes());
-            buf[32] = legacy_tag(&self.spec);
-            buf[34..36].copy_from_slice(&self.disk_index.to_le_bytes());
-            buf[36..44].copy_from_slice(&self.array_id.to_le_bytes());
-            buf[44] = self.clean as u8;
-            let failed = self.failed[0].unwrap_or(NO_FAILED_DISK);
-            buf[46..48].copy_from_slice(&failed.to_le_bytes());
-            let sum = fnv1a(&buf[..CHECKED_BYTES_V2]);
-            buf[CHECKED_BYTES_V2..CHECKED_BYTES_V2 + 8].copy_from_slice(&sum.to_le_bytes());
-        } else {
-            buf[28..30].copy_from_slice(&self.disk_index.to_le_bytes());
-            buf[30..38].copy_from_slice(&self.array_id.to_le_bytes());
-            buf[38] = self.clean as u8;
-            let spec = self.spec.to_string();
-            assert!(spec.len() <= SPEC_BYTES, "layout spec `{spec}` too long");
-            buf[39] = spec.len() as u8;
-            let f0 = self.failed[0].unwrap_or(NO_FAILED_DISK);
-            let f1 = self.failed[1].unwrap_or(NO_FAILED_DISK);
-            buf[40..42].copy_from_slice(&f0.to_le_bytes());
-            buf[42..44].copy_from_slice(&f1.to_le_bytes());
-            buf[44..44 + spec.len()].copy_from_slice(spec.as_bytes());
-            let sum = fnv1a(&buf[..CHECKED_BYTES_V3]);
-            buf[CHECKED_BYTES_V3..CHECKED_BYTES_V3 + 8].copy_from_slice(&sum.to_le_bytes());
-        }
+        buf[28..30].copy_from_slice(&self.disk_index.to_le_bytes());
+        buf[30..38].copy_from_slice(&self.array_id.to_le_bytes());
+        buf[38] = self.clean as u8;
+        let spec = self.spec.to_string();
+        assert!(spec.len() <= SPEC_BYTES, "layout spec `{spec}` too long");
+        buf[39] = spec.len() as u8;
+        let f0 = self.failed[0].unwrap_or(NO_FAILED_DISK);
+        let f1 = self.failed[1].unwrap_or(NO_FAILED_DISK);
+        buf[40..42].copy_from_slice(&f0.to_le_bytes());
+        buf[42..44].copy_from_slice(&f1.to_le_bytes());
+        buf[44..44 + spec.len()].copy_from_slice(spec.as_bytes());
+        let sum = fnv1a(&buf[..CHECKED_BYTES]);
+        buf[CHECKED_BYTES..CHECKED_BYTES + 8].copy_from_slice(&sum.to_le_bytes());
         buf
     }
 
@@ -170,16 +108,11 @@ impl Superblock {
             return Err(bad("bad magic".into()));
         }
         let version = le_u32(buf, 8);
-        if !(VERSION_NO_CHECKSUMS..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(bad(format!("unsupported version {version}")));
         }
-        let checked = if version < VERSION {
-            CHECKED_BYTES_V2
-        } else {
-            CHECKED_BYTES_V3
-        };
-        let stored = le_u64(buf, checked);
-        let computed = fnv1a(&buf[..checked]);
+        let stored = le_u64(buf, CHECKED_BYTES);
+        let computed = fnv1a(&buf[..CHECKED_BYTES]);
         if stored != computed {
             return Err(bad(format!(
                 "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
@@ -193,79 +126,58 @@ impl Superblock {
         if unit_bytes == 0 || !unit_bytes.is_multiple_of(BLOCK_BYTES) {
             return Err(bad(format!("unit size {unit_bytes} not a block multiple")));
         }
-        let units_per_disk = le_u64(buf, 20);
-        let (spec, disk_index, array_id, clean, failed) = if version < VERSION {
-            let disks = le_u16(buf, 28);
-            let group = le_u16(buf, 30);
-            let spec = from_legacy_tag(buf[32], disks, group)
-                .ok_or_else(|| bad(format!("unknown layout tag {}", buf[32])))?;
-            let f = le_u16(buf, 46);
-            (
-                spec,
-                le_u16(buf, 34),
-                le_u64(buf, 36),
-                buf[44] != 0,
-                [(f != NO_FAILED_DISK).then_some(f), None],
-            )
-        } else {
-            let spec_len = buf[39] as usize;
-            if spec_len > SPEC_BYTES {
-                return Err(bad(format!("layout spec length {spec_len} out of range")));
-            }
-            let text = std::str::from_utf8(&buf[44..44 + spec_len])
-                .map_err(|_| bad("layout spec is not UTF-8".into()))?;
-            let spec: LayoutSpec = text
-                .parse()
-                .map_err(|e| bad(format!("bad layout spec `{text}`: {e}")))?;
-            let f0 = le_u16(buf, 40);
-            let f1 = le_u16(buf, 42);
-            (
-                spec,
-                le_u16(buf, 28),
-                le_u64(buf, 30),
-                buf[38] != 0,
-                [
-                    (f0 != NO_FAILED_DISK).then_some(f0),
-                    (f1 != NO_FAILED_DISK).then_some(f1),
-                ],
-            )
-        };
+        let spec_len = buf[39] as usize;
+        if spec_len > SPEC_BYTES {
+            return Err(bad(format!("layout spec length {spec_len} out of range")));
+        }
+        let text = std::str::from_utf8(&buf[44..44 + spec_len])
+            .map_err(|_| bad("layout spec is not UTF-8".into()))?;
+        let spec: LayoutSpec = text
+            .parse()
+            .map_err(|e| bad(format!("bad layout spec `{text}`: {e}")))?;
+        let disk_index = le_u16(buf, 28);
         let disks = spec.disks();
         if disk_index >= disks {
             return Err(bad(format!("disk index {disk_index} out of {disks}")));
         }
+        let failed_slot = |o| Some(le_u16(buf, o)).filter(|&f| f != NO_FAILED_DISK);
         Ok(Superblock {
-            version,
             spec,
             unit_bytes,
-            units_per_disk,
+            units_per_disk: le_u64(buf, 20),
             disk_index,
-            array_id,
-            clean,
-            failed,
+            array_id: le_u64(buf, 30),
+            clean: buf[38] != 0,
+            failed: [failed_slot(40), failed_slot(42)],
         })
     }
 
     /// Whether `other` describes the same array (everything but the
-    /// per-disk index and run state). Format version is part of the
-    /// identity: a v1 disk cannot join a v2+ array, because their data
-    /// areas start at different offsets.
+    /// per-disk index and run state).
     pub fn same_array(&self, other: &Superblock) -> bool {
-        self.version == other.version
-            && self.spec == other.spec
+        self.spec == other.spec
             && self.unit_bytes == other.unit_bytes
             && self.units_per_disk == other.units_per_disk
             && self.array_id == other.array_id
     }
 
     /// Byte offset where this disk's data area starts: the superblock,
-    /// then (v2 onward) the checksum region.
+    /// then the checksum region.
     pub fn data_start(&self) -> u64 {
-        if self.version >= VERSION_TAGGED {
-            SUPERBLOCK_BYTES + crate::checksum::region_bytes(self.units_per_disk)
-        } else {
-            SUPERBLOCK_BYTES
-        }
+        SUPERBLOCK_BYTES + region_bytes(self.units_per_disk)
+    }
+
+    /// Total bytes of one backing file — superblock, checksum region,
+    /// data area — or `None` if the geometry overflows a 64-bit file
+    /// size (only a forged superblock can claim one).
+    pub fn disk_bytes(&self) -> Option<u64> {
+        let region = self
+            .units_per_disk
+            .checked_mul(SLOT_BYTES)?
+            .div_ceil(4096)
+            .checked_mul(4096)?;
+        let data = self.units_per_disk.checked_mul(self.unit_bytes as u64)?;
+        SUPERBLOCK_BYTES.checked_add(region)?.checked_add(data)
     }
 }
 
@@ -300,7 +212,6 @@ mod tests {
 
     fn sb() -> Superblock {
         Superblock {
-            version: VERSION,
             spec: LayoutSpec::Bibd {
                 disks: 10,
                 group: 4,
@@ -314,12 +225,27 @@ mod tests {
         }
     }
 
+    /// Rewrites the checksum of an encoded superblock after a mutation,
+    /// so decoding reaches field validation.
+    fn reseal(buf: &mut [u8]) {
+        let sum = fnv1a(&buf[..CHECKED_BYTES]);
+        buf[CHECKED_BYTES..CHECKED_BYTES + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let p = PathBuf::from("disk-003.dat");
         let original = sb();
         let decoded = Superblock::decode(&original.encode(), &p).unwrap();
         assert_eq!(decoded, original);
+        assert_eq!(
+            decoded.data_start(),
+            SUPERBLOCK_BYTES + region_bytes(original.units_per_disk)
+        );
+        assert_eq!(
+            decoded.disk_bytes(),
+            Some(decoded.data_start() + 336 * 4096)
+        );
 
         let mut degraded = sb();
         degraded.clean = false;
@@ -365,54 +291,49 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("short"));
+
+        // One format: the retired v1/v2 and any future version are
+        // refused, checksum valid or not.
+        for version in [1u32, 2, 99] {
+            let mut buf = sb().encode();
+            buf[8..12].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut buf);
+            let err = Superblock::decode(&buf, &p).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
-    fn legacy_superblocks_still_decode_and_place_data_correctly() {
-        // v1: no checksum region, data right after the header.
-        let mut v1 = sb();
-        v1.version = VERSION_NO_CHECKSUMS;
-        let decoded = Superblock::decode(&v1.encode(), &PathBuf::from("d")).unwrap();
-        assert_eq!(decoded.version, VERSION_NO_CHECKSUMS);
-        assert_eq!(decoded.data_start(), SUPERBLOCK_BYTES);
-        // v2: tag-encoded spec, checksum region reserved.
-        let mut v2 = sb();
-        v2.version = VERSION_TAGGED;
-        v2.failed = [Some(2), None];
-        let decoded = Superblock::decode(&v2.encode(), &PathBuf::from("d")).unwrap();
-        assert_eq!(decoded, v2);
-        assert_eq!(
-            decoded.data_start(),
-            SUPERBLOCK_BYTES + crate::checksum::region_bytes(v2.units_per_disk)
+    fn decode_never_panics_on_any_resealed_byte_mutation() {
+        let p = PathBuf::from("sweep");
+        let mut base = sb();
+        base.failed = [Some(2), None];
+        let valid = base.encode();
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for at in 0..CHECKED_BYTES + 8 {
+            for value in [0x00u8, 0x01, 0x7F, 0x80, 0xFF] {
+                let mut buf = valid.clone();
+                buf[at] = value;
+                reseal(&mut buf);
+                match Superblock::decode(&buf, &p) {
+                    Ok(x) => {
+                        accepted += 1;
+                        let again = Superblock::decode(&x.encode(), &p).unwrap();
+                        assert_eq!(again, x, "byte {at} = {value:#04x}");
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} ok, {rejected} err"
         );
-        // v3 reserves the checksum region too.
-        let new = sb();
-        assert_eq!(
-            new.data_start(),
-            SUPERBLOCK_BYTES + crate::checksum::region_bytes(new.units_per_disk)
-        );
-        // Versions do not mix within one array.
-        assert!(!new.same_array(&v1));
-        assert!(!new.same_array(&v2));
-        // An unknown future version is rejected loudly.
-        let mut future = sb();
-        future.version = 99;
-        assert!(Superblock::decode(&future.encode(), &PathBuf::from("d"))
-            .unwrap_err()
-            .to_string()
-            .contains("unsupported version"));
-    }
-
-    #[test]
-    #[should_panic(expected = "not representable")]
-    fn legacy_encode_rejects_unrepresentable_families() {
-        let mut s = sb();
-        s.version = VERSION_TAGGED;
-        s.spec = LayoutSpec::Pq {
-            disks: 12,
-            group: 6,
-        };
-        let _ = s.encode();
     }
 
     #[test]

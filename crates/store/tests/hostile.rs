@@ -2,17 +2,14 @@
 //! detect every injected fault (checksum or `EIO`), resolve each one
 //! as exactly one retry-success, read-repair, or typed escalation —
 //! never wrong bytes — and auto-demote a disk whose error budget runs
-//! out. Also covers the v1 (pre-checksum) forward-compat path and the
-//! torn-checksum-region crash hazard.
+//! out. Also covers the torn-checksum-region crash hazard.
 
-use decluster_core::layout::ArrayMapping;
 use decluster_store::checksum::region_bytes;
 use decluster_store::{
-    default_region, BlockStore, DiskBackend, FaultPlan, FaultyBackend, FileBackend, IntentBitmap,
-    LatencyProfile, LayoutSpec, MediaKind, StoreError, Superblock, SUPERBLOCK_BYTES,
-    VERSION_NO_CHECKSUMS,
+    BlockStore, DiskBackend, FaultPlan, FaultyBackend, FileBackend, LatencyProfile, LayoutSpec,
+    MediaKind, StoreError, SUPERBLOCK_BYTES,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const DISKS: u16 = 5;
@@ -305,7 +302,6 @@ fn torn_checksum_region_write_does_not_brick_the_store() {
     // stale slots from parity as they are touched).
     let (store, report) = BlockStore::open(&dir).unwrap();
     assert!(report.is_none(), "clean shutdown: no recovery expected");
-    assert!(!store.read_only());
     assert_contents(&store, UB, 4, "after torn checksum region");
     let c = store.fault_counters();
     assert!(
@@ -326,71 +322,6 @@ fn torn_checksum_region_write_does_not_brick_the_store() {
     let (store, _) = BlockStore::open(&dir).unwrap();
     assert_contents(&store, UB, 4, "after healed reopen");
     assert_eq!(store.fault_counters().checksum_errors, 0);
-    store.close().unwrap();
-}
-
-/// Builds a v1-format store by hand: superblocks stamped with the
-/// pre-checksum version, data directly after the header, zero-filled.
-fn build_v1_store(dir: &Path, units_per_disk: u64, unit_bytes: u32) {
-    use std::io::Write;
-    std::fs::create_dir_all(dir).unwrap();
-    let mapping = ArrayMapping::new(SPEC.build().unwrap(), units_per_disk).unwrap();
-    for i in 0..DISKS {
-        let sb = Superblock {
-            version: VERSION_NO_CHECKSUMS,
-            spec: SPEC,
-            unit_bytes,
-            units_per_disk,
-            disk_index: i,
-            array_id: 0x01D,
-            clean: true,
-            failed: [None; 2],
-        };
-        let path = dir.join(format!("disk-{i:03}.dat"));
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(&sb.encode()).unwrap();
-        f.set_len(SUPERBLOCK_BYTES + units_per_disk * unit_bytes as u64)
-            .unwrap();
-    }
-    let stripes = mapping.stripes();
-    IntentBitmap::create(&dir.join("intent.bitmap"), stripes, default_region(stripes)).unwrap();
-}
-
-#[test]
-fn v1_store_opens_read_only_with_a_clear_migration_error() {
-    const UNITS: u64 = 32;
-    const UB: u32 = 1024;
-    let dir = fresh_dir("v1-forward-compat");
-    build_v1_store(&dir, UNITS, UB);
-
-    let (store, report) = BlockStore::open(&dir).unwrap();
-    assert!(report.is_none(), "v1 recovery would have to write");
-    assert!(store.read_only());
-
-    // Reads work (the store is a valid, zero-filled v1 array)...
-    let mut buf = vec![0u8; UB as usize];
-    store.read_unit(0, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 0));
-
-    // ...every mutation is refused with a message naming the gap...
-    let err = store.write_unit(0, &vec![1u8; UB as usize]).unwrap_err();
-    let msg = format!("{err}");
-    assert!(
-        matches!(err, StoreError::Mismatch { .. }),
-        "expected Mismatch, got: {msg}"
-    );
-    assert!(
-        msg.contains("v1") && msg.contains("read-only"),
-        "unhelpful migration message: {msg}"
-    );
-    assert!(matches!(
-        store.scrub(true),
-        Err(StoreError::Mismatch { .. })
-    ));
-
-    // ...but a report-only scrub and a close are fine.
-    let scrub = store.scrub(false).unwrap();
-    assert_eq!(scrub.faults(), 0);
     store.close().unwrap();
 }
 

@@ -35,34 +35,37 @@ fn rebuild_reads_alpha_of_each_surviving_disk() {
             .write_unit(logical, &vec![(logical % 251) as u8; 512])
             .unwrap();
     }
-    store.fail_disk(0).unwrap();
-    store.replace_disk().unwrap();
-    let report = store.rebuild(4).unwrap();
+    // Four workers, then `0` = one per core: the split must not bend α.
+    for threads in [4, 0] {
+        store.fail_disk(0).unwrap();
+        store.replace_disk().unwrap();
+        let report = store.rebuild(threads).unwrap();
 
-    assert_eq!(report.units_unmapped, 0, "336 units = 4 whole tables");
-    assert_eq!(report.units_rebuilt, 336);
-    for disk in 1..10u16 {
-        let mapped = report.mapped_units_per_disk[disk as usize];
-        assert_eq!(mapped, 336);
-        let fraction = report.read_fraction(disk);
-        let relative_error = (fraction - alpha).abs() / alpha;
-        assert!(
-            relative_error <= 0.02,
-            "disk {disk}: read {}/{mapped} = {fraction:.4}, α = {alpha:.4} \
-             (relative error {relative_error:.4})",
-            report.disk_reads[disk as usize]
-        );
-    }
-    // The replacement itself is only written, never read.
-    assert_eq!(report.disk_reads[0], 0);
-    assert_eq!(report.disk_writes[0], 336);
+        assert_eq!(report.units_unmapped, 0, "336 units = 4 whole tables");
+        assert_eq!(report.units_rebuilt, 336);
+        for disk in 1..10u16 {
+            let mapped = report.mapped_units_per_disk[disk as usize];
+            assert_eq!(mapped, 336);
+            let fraction = report.read_fraction(disk);
+            let relative_error = (fraction - alpha).abs() / alpha;
+            assert!(
+                relative_error <= 0.02,
+                "threads {threads}, disk {disk}: read {}/{mapped} = {fraction:.4}, \
+                 α = {alpha:.4} (relative error {relative_error:.4})",
+                report.disk_reads[disk as usize]
+            );
+        }
+        // The replacement itself is only written, never read.
+        assert_eq!(report.disk_reads[0], 0);
+        assert_eq!(report.disk_writes[0], 336);
 
-    // And the rebuilt array is whole again.
-    store.verify_parity().unwrap();
-    let mut buf = vec![0u8; 512];
-    for logical in 0..store.data_units() {
-        store.read_unit(logical, &mut buf).unwrap();
-        assert_eq!(buf, vec![(logical % 251) as u8; 512], "unit {logical}");
+        // And the rebuilt array is whole again.
+        store.verify_parity().unwrap();
+        let mut buf = vec![0u8; 512];
+        for logical in 0..store.data_units() {
+            store.read_unit(logical, &mut buf).unwrap();
+            assert_eq!(buf, vec![(logical % 251) as u8; 512], "unit {logical}");
+        }
     }
     store.close().unwrap();
 }

@@ -19,8 +19,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 SCRUB_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SCRUB_SMOKE_DIR"' EXIT
