@@ -23,9 +23,13 @@ pub mod backend;
 mod bitmap;
 mod buffer;
 pub mod checksum;
+mod consistency;
 mod error;
 mod health;
+mod io;
+mod lifecycle;
 pub mod parity;
+mod rebuild;
 mod repair;
 mod stats;
 mod store;
@@ -36,9 +40,11 @@ pub use backend::{
 };
 pub use error::{MediaKind, Result, StoreError};
 pub use health::FaultCounters;
+pub use lifecycle::BackendFactory;
+pub use rebuild::RebuildReport;
 pub use repair::ScrubReport;
 pub use stats::{DiskStats, StoreStats};
-pub use store::{BackendFactory, BlockStore, DiskCounters, RebuildReport};
+pub use store::{BlockStore, DiskCounters};
 pub use superblock::{LayoutSpec, BLOCK_BYTES, SUPERBLOCK_BYTES};
 
 /// Locks a mutex, treating poisoning as recoverable: the store's
