@@ -1,4 +1,6 @@
-use crate::buffer::PooledBuf;
+//! Parity consistency: the whole-array check and the crash-recovery
+//! resync, both built on one per-stripe check.
+
 use crate::error::{Result, StoreError};
 use crate::lock;
 use crate::parity;
@@ -8,10 +10,6 @@ use decluster_core::layout::UnitAddr;
 use std::time::Instant;
 
 impl BlockStore {
-    // ------------------------------------------------------------------
-    // Consistency
-    // ------------------------------------------------------------------
-
     /// Verifies that every mapped stripe's parity matches its data: the
     /// P unit must equal the XOR of the data units, and on a P+Q layout
     /// the Q unit must equal the GF(256) weighted sum. Only meaningful
@@ -27,109 +25,14 @@ impl BlockStore {
                 "parity check requires a fault-free store".to_string(),
             ));
         }
-        let m = self.parity_units() as usize;
-        let mut accs: Vec<PooledBuf<'_>> = (0..m).map(|_| self.buffers.get()).collect();
-        let mut tmp = self.buffers.get();
         for seq in 0..self.mapping.stripes() {
             let stripe = self.mapping.stripe_by_seq(seq);
             let _guard = self.lock_stripe(stripe);
-            let units = self.mapping.stripe_units(stripe);
-            let d = units.len() - m;
-            for acc in accs.iter_mut() {
-                acc.fill(0);
-            }
-            for (i, u) in units[..d].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                parity::xor_into(&mut accs[0], &tmp);
-                if m == 2 {
-                    parity::gf_mul_into(&mut accs[1], &tmp, parity::gf_pow2(i as u16));
-                }
-            }
-            for (j, u) in units[d..].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                if *accs[j] != *tmp {
-                    return Err(StoreError::ParityMismatch { stripe });
-                }
+            if !self.check_stripe(&self.mapping.stripe_units(stripe), None)? {
+                return Err(StoreError::ParityMismatch { stripe });
             }
         }
         Ok(())
-    }
-
-    /// Corrupts a stripe's parity unit — the write-hole injection hook
-    /// for crash-recovery tests and demos.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stripe is unmapped, its parity unit is lost, or the
-    /// I/O fails.
-    pub fn scramble_parity(&self, stripe: u64) -> Result<()> {
-        let parity = self.live_parity(stripe)?;
-        let _guard = self.lock_stripe(stripe);
-        let mut buf = self.buffers.get();
-        self.disks[parity.disk as usize].read_unit(parity.offset, &mut buf)?;
-        for b in buf.iter_mut() {
-            *b = !*b;
-        }
-        self.disks[parity.disk as usize].write_unit(parity.offset, &buf)
-    }
-
-    /// Recomputes a stripe's live parity units from its data — the
-    /// per-stripe repair a resync applies to a torn stripe.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BlockStore::scramble_parity`], plus an invalid-state
-    /// error if one of the stripe's data units is lost (parity is then
-    /// the only copy and must not be overwritten).
-    pub fn recompute_parity(&self, stripe: u64) -> Result<()> {
-        if !self.mapping.is_mapped(stripe) {
-            return Err(StoreError::state(format!("stripe {stripe} is not mapped")));
-        }
-        let _guard = self.lock_stripe(stripe);
-        let units = self.mapping.stripe_units(stripe);
-        let m = self.parity_units() as usize;
-        let d = units.len() - m;
-        let lost = self.lost_flags(&units);
-        if lost[..d].iter().any(|&l| l) {
-            return Err(StoreError::state(format!(
-                "stripe {stripe} has a lost data unit — parity is its only copy"
-            )));
-        }
-        if lost[d..].iter().all(|&l| l) {
-            return Err(StoreError::state(format!(
-                "stripe {stripe} has no live parity unit"
-            )));
-        }
-        let mut data = Vec::with_capacity(d);
-        for u in &units[..d] {
-            let mut b = self.buffers.get();
-            self.disks[u.disk as usize].read_unit(u.offset, &mut b)?;
-            data.push(b);
-        }
-        let mut out = self.buffers.get();
-        for (j, u) in units[d..].iter().enumerate() {
-            if lost[d + j] {
-                continue;
-            }
-            self.compute_parity_into(j as u16, &data, &mut out);
-            self.disks[u.disk as usize].write_unit(u.offset, &out)?;
-        }
-        Ok(())
-    }
-
-    /// The first live parity unit of `stripe`.
-    fn live_parity(&self, stripe: u64) -> Result<UnitAddr> {
-        if !self.mapping.is_mapped(stripe) {
-            return Err(StoreError::state(format!("stripe {stripe} is not mapped")));
-        }
-        let units = self.mapping.stripe_units(stripe);
-        let d = units.len() - self.parity_units() as usize;
-        let st = lock(&self.state);
-        units[d..]
-            .iter()
-            .find(|u| !st.is_lost(**u))
-            .copied()
-            .ok_or_else(|| StoreError::state(format!("stripe {stripe} has no live parity unit")))
     }
 
     /// The crash-recovery resync: verify (and repair) the parity of the
@@ -158,8 +61,6 @@ impl BlockStore {
             resync_units_written: 0,
             recovery_secs: 0.0,
         };
-        let m = self.parity_units() as usize;
-        let mut accs: Vec<PooledBuf<'_>> = (0..m).map(|_| self.buffers.get()).collect();
         let mut tmp = self.buffers.get();
         for seq in seqs {
             let stripe = self.mapping.stripe_by_seq(seq);
@@ -178,34 +79,7 @@ impl BlockStore {
                 }
                 continue;
             }
-            let d = units.len() - m;
-            for acc in accs.iter_mut() {
-                acc.fill(0);
-            }
-            for (i, u) in units[..d].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                // The slots of every unit in a dirty region may be
-                // stale (in-memory tables died with the crash):
-                // recompute them from the on-disk bytes.
-                self.disks[u.disk as usize].note_contents(u.offset, &tmp);
-                parity::xor_into(&mut accs[0], &tmp);
-                if m == 2 {
-                    parity::gf_mul_into(&mut accs[1], &tmp, parity::gf_pow2(i as u16));
-                }
-                report.resync_units_read += 1;
-            }
-            let mut stripe_torn = false;
-            for (j, u) in units[d..].iter().enumerate() {
-                self.disks[u.disk as usize].read_unit(u.offset, &mut tmp)?;
-                self.disks[u.disk as usize].note_contents(u.offset, &tmp);
-                report.resync_units_read += 1;
-                if *accs[j] != *tmp {
-                    stripe_torn = true;
-                    self.disks[u.disk as usize].write_unit(u.offset, &accs[j])?;
-                    report.resync_units_written += 1;
-                }
-            }
-            if stripe_torn {
+            if !self.check_stripe(&units, Some(&mut report))? {
                 report.torn_found += 1;
                 report.torn_repaired += 1;
             }
@@ -216,5 +90,49 @@ impl BlockStore {
         lock(&self.intent).clear_all()?;
         report.recovery_secs = start.elapsed().as_secs_f64();
         Ok(report)
+    }
+
+    /// The one parity check of a fault-free stripe: reads its units
+    /// raw, folds the data into each parity and compares. Returns
+    /// whether every parity unit matched. Without a report it stops at
+    /// the first stale parity unit. With one (crash resync) it also
+    /// refreshes every unit's checksum slot from the bytes on disk,
+    /// rewrites each stale parity unit, and counts that I/O.
+    fn check_stripe(
+        &self,
+        units: &[UnitAddr],
+        mut heal: Option<&mut ConsistencyReport>,
+    ) -> Result<bool> {
+        let d = units.len() - self.parity_units() as usize;
+        let mut folds: Vec<_> = units[d..]
+            .iter()
+            .map(|_| self.buffers.get_zeroed())
+            .collect();
+        let mut tmp = self.buffers.get();
+        let mut consistent = true;
+        for (pos, u) in units.iter().enumerate() {
+            let disk = &self.disks[u.disk as usize];
+            disk.read_unit(u.offset, &mut tmp)?;
+            if let Some(report) = heal.as_deref_mut() {
+                // The slots of every unit in a dirty region may be
+                // stale (in-memory tables died with the crash):
+                // recompute them from the on-disk bytes.
+                disk.note_contents(u.offset, &tmp);
+                report.resync_units_read += 1;
+            }
+            if pos < d {
+                for (j, fold) in folds.iter_mut().enumerate() {
+                    parity::fold_into(fold, j as u16, pos as u16, &tmp);
+                }
+            } else if *folds[pos - d] != *tmp {
+                consistent = false;
+                let Some(report) = heal.as_deref_mut() else {
+                    break;
+                };
+                disk.write_unit(u.offset, &folds[pos - d])?;
+                report.resync_units_written += 1;
+            }
+        }
+        Ok(consistent)
     }
 }

@@ -21,10 +21,6 @@ enum NewData<'a> {
 }
 
 impl BlockStore {
-    // ------------------------------------------------------------------
-    // Stripe decode engine
-    // ------------------------------------------------------------------
-
     /// The current lost-unit flags for `units`, position-aligned.
     pub(crate) fn lost_flags(&self, units: &[UnitAddr]) -> Vec<bool> {
         if !self.is_degraded() {
@@ -41,9 +37,7 @@ impl BlockStore {
         if verified {
             self.read_unit_verified(u, out)
         } else {
-            let d = &self.disks[u.disk as usize];
-            d.read_unit(u.offset, out)?;
-            d.check_sum(u.offset, out)
+            self.disks[u.disk as usize].read_checked(u.offset, out)
         }
     }
 
@@ -67,9 +61,6 @@ impl BlockStore {
     ) -> Result<(Vec<PooledBuf<'_>>, u64)> {
         let m = self.parity_units() as usize;
         let d = units.len() - m;
-        let unrecoverable = || {
-            StoreError::state("stripe has more lost units than its parity can recover".to_string())
-        };
         let mut reads = 0u64;
         let mut bufs = Vec::with_capacity(d);
         for i in 0..d {
@@ -80,54 +71,47 @@ impl BlockStore {
             }
             bufs.push(b);
         }
+        // Reads parity `j` into `acc` and folds every surviving data
+        // image into it, leaving only the erased units' share.
+        let mut survivors_into = |j: usize, acc: &mut [u8]| -> Result<()> {
+            self.read_survivor(units[d + j], acc, verified)?;
+            reads += 1;
+            for (i, b) in bufs.iter().enumerate().filter(|&(i, _)| !lost[i]) {
+                parity::fold_into(acc, j as u16, i as u16, b);
+            }
+            Ok(())
+        };
         let missing: Vec<usize> = (0..d).filter(|&i| lost[i]).collect();
         match missing.as_slice() {
             [] => {}
             &[a] if !lost[d] => {
-                // P survives: the erased unit is the XOR of P and the
-                // other data units.
+                // P survives: the erased unit is what P leaves over.
                 let mut acc = self.buffers.get();
-                self.read_survivor(units[d], &mut acc, verified)?;
-                reads += 1;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a {
-                        parity::xor_into(&mut acc, b);
-                    }
-                }
+                survivors_into(0, &mut acc)?;
                 bufs[a].copy_from_slice(&acc);
             }
             &[a] if m == 2 && !lost[d + 1] => {
                 // P is gone but Q survives: d_a = g^{-a}·(Q ⊕ Σ g^i·d_i).
                 let mut acc = self.buffers.get();
-                self.read_survivor(units[d + 1], &mut acc, verified)?;
-                reads += 1;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a {
-                        parity::gf_mul_into(&mut acc, b, parity::gf_pow2(i as u16));
-                    }
-                }
+                survivors_into(1, &mut acc)?;
                 parity::gf_scale(&mut acc, parity::gf_inv(parity::gf_pow2(a as u16)));
                 bufs[a].copy_from_slice(&acc);
             }
-            &[a, b_pos] if m == 2 && !lost[d] && !lost[d + 1] => {
+            &[a, b] if m == 2 && !lost[d] && !lost[d + 1] => {
                 // Two data erasures: fold the survivors into both parity
                 // images, then solve the 2×2 system.
-                let mut p = self.buffers.get();
-                let mut q = self.buffers.get();
-                self.read_survivor(units[d], &mut p, verified)?;
-                self.read_survivor(units[d + 1], &mut q, verified)?;
-                reads += 2;
-                for (i, b) in bufs.iter().enumerate() {
-                    if i != a && i != b_pos {
-                        parity::xor_into(&mut p, b);
-                        parity::gf_mul_into(&mut q, b, parity::gf_pow2(i as u16));
-                    }
-                }
-                parity::gf_solve_two_data(a as u16, b_pos as u16, &mut p, &mut q);
+                let (mut p, mut q) = (self.buffers.get(), self.buffers.get());
+                survivors_into(0, &mut p)?;
+                survivors_into(1, &mut q)?;
+                parity::gf_solve_two_data(a as u16, b as u16, &mut p, &mut q);
                 bufs[a].copy_from_slice(&q);
-                bufs[b_pos].copy_from_slice(&p);
+                bufs[b].copy_from_slice(&p);
             }
-            _ => return Err(unrecoverable()),
+            _ => {
+                return Err(StoreError::state(
+                    "stripe has more lost units than its parity can recover".to_string(),
+                ))
+            }
         }
         Ok((bufs, reads))
     }
@@ -137,11 +121,7 @@ impl BlockStore {
     pub(crate) fn compute_parity_into(&self, j: u16, data: &[PooledBuf<'_>], out: &mut [u8]) {
         out.fill(0);
         for (i, b) in data.iter().enumerate() {
-            if j == 0 {
-                parity::xor_into(out, b);
-            } else {
-                parity::gf_mul_into(out, b, parity::gf_pow2(i as u16));
-            }
+            parity::fold_into(out, j, i as u16, b);
         }
     }
 
@@ -172,10 +152,6 @@ impl BlockStore {
         }
         Ok(reads)
     }
-
-    // ------------------------------------------------------------------
-    // Block I/O
-    // ------------------------------------------------------------------
 
     /// Reads `buf.len()` bytes starting at logical block `block`,
     /// reconstructing degraded units on the fly. Whole-unit spans are
@@ -234,14 +210,20 @@ impl BlockStore {
             first / self.data_per_stripe(),
             last / self.data_per_stripe(),
         );
-        if lock(&self.intent).stage_range(seq_lo, seq_hi)? {
+        self.with_intent(seq_lo, seq_hi, || self.write_extent(block, data))
+    }
+
+    /// The intent bracket around a user write: stage the bits of stripe
+    /// seqs `lo..=hi`, push their fdatasync, run `write`, release.
+    fn with_intent(&self, lo: u64, hi: u64, write: impl FnOnce() -> Result<()>) -> Result<()> {
+        if lock(&self.intent).stage_range(lo, hi)? {
             self.gate.sync()?;
         }
-        let res = self.write_extent(block, data);
+        let res = write();
         // The in-memory release is unconditional (refcounts must stay
         // balanced); after an I/O error the on-disk bit stays set, so a
         // crash-reopen still resyncs the possibly-torn stripes.
-        lock(&self.intent).release_range(seq_lo, seq_hi)?;
+        lock(&self.intent).release_range(lo, hi)?;
         res
     }
 
@@ -312,20 +294,14 @@ impl BlockStore {
             return Ok(false);
         }
         // Parity of each stripe, straight from the new data: m buffers
-        // per stripe (P is the plain XOR, Q the GF(256) weighted sum).
+        // per stripe.
         let m = self.parity_units() as usize;
         let mut parity_bufs = Vec::with_capacity(stripes as usize * m);
-        for i in 0..stripes as usize {
-            let base = i * dpu * ub;
+        for stripe_src in src.chunks_exact(dpu * ub) {
             for j in 0..m {
                 let mut p = self.buffers.get_zeroed();
-                for k in 0..dpu {
-                    let unit = &src[base + k * ub..base + (k + 1) * ub];
-                    if j == 0 {
-                        parity::xor_into(&mut p, unit);
-                    } else {
-                        parity::gf_mul_into(&mut p, unit, parity::gf_pow2(k as u16));
-                    }
+                for (k, unit) in stripe_src.chunks_exact(ub).enumerate() {
+                    parity::fold_into(&mut p, j as u16, k as u16, unit);
                 }
                 parity_bufs.push(p);
             }
@@ -376,19 +352,7 @@ impl BlockStore {
     ///
     /// Fails on a bad length, out-of-range unit, or disk I/O error.
     pub fn read_unit(&self, logical: u64, out: &mut [u8]) -> Result<()> {
-        if out.len() != self.unit_bytes {
-            return Err(StoreError::state(format!(
-                "unit read buffer is {} bytes, unit is {}",
-                out.len(),
-                self.unit_bytes
-            )));
-        }
-        if logical >= self.data_units() {
-            return Err(StoreError::state(format!(
-                "logical unit {logical} beyond capacity {}",
-                self.data_units()
-            )));
-        }
+        self.check_unit(logical, out.len())?;
         self.apply_pending_demotion()?;
         let (stripe, index) = self.mapping.logical_to_stripe(logical);
         let _guard = self.lock_stripe(stripe);
@@ -416,10 +380,19 @@ impl BlockStore {
     /// As for [`BlockStore::read_unit`].
     pub fn write_unit(&self, logical: u64, data: &[u8]) -> Result<()> {
         self.apply_pending_demotion()?;
-        if data.len() != self.unit_bytes {
+        self.check_unit(logical, data.len())?;
+        let seq = logical / self.data_per_stripe();
+        self.with_intent(seq, seq, || {
+            self.write_unit_premarked(logical, NewData::Full(data))
+        })
+    }
+
+    /// Bounds of a whole-unit access: `len` bytes at logical unit
+    /// `logical`.
+    fn check_unit(&self, logical: u64, len: usize) -> Result<()> {
+        if len != self.unit_bytes {
             return Err(StoreError::state(format!(
-                "unit write is {} bytes, unit is {}",
-                data.len(),
+                "unit buffer is {len} bytes, unit is {}",
                 self.unit_bytes
             )));
         }
@@ -429,13 +402,7 @@ impl BlockStore {
                 self.data_units()
             )));
         }
-        let seq = logical / self.data_per_stripe();
-        if lock(&self.intent).stage_range(seq, seq)? {
-            self.gate.sync()?;
-        }
-        let res = self.write_unit_premarked(logical, NewData::Full(data));
-        lock(&self.intent).release_range(seq, seq)?;
-        res
+        Ok(())
     }
 
     fn check_extent(&self, block: u64, len: usize) -> Result<()> {
@@ -457,7 +424,8 @@ impl BlockStore {
 
     /// The unit-write engine: same decomposition as `DataArray::write`,
     /// executed over files under the stripe lock. The caller has
-    /// already staged and synced the intent bit covering this stripe.
+    /// already bounds-checked `logical` and staged and synced the
+    /// intent bit covering this stripe.
     ///
     /// With the target unit live, the write is a read-modify-write that
     /// delta-folds `old ⊕ new` into every *live* parity unit (`P ⊕=
@@ -468,12 +436,6 @@ impl BlockStore {
     /// replacement is installed — the image also lands on the
     /// replacement directly.
     fn write_unit_premarked(&self, logical: u64, new: NewData<'_>) -> Result<()> {
-        if logical >= self.data_units() {
-            return Err(StoreError::state(format!(
-                "logical unit {logical} beyond capacity {}",
-                self.data_units()
-            )));
-        }
         let (stripe, index) = self.mapping.logical_to_stripe(logical);
         let _guard = self.lock_stripe(stripe);
         let units = self.mapping.stripe_units(stripe);
@@ -513,7 +475,7 @@ impl BlockStore {
                     let mut delta = self.buffers.get();
                     delta.copy_from_slice(&old);
                     parity::xor_into(&mut delta, image);
-                    parity::gf_mul_into(&mut pbuf, &delta, parity::gf_pow2(index));
+                    parity::fold_into(&mut pbuf, j as u16, index, &delta);
                 }
                 self.disks[pu.disk as usize].write_unit(pu.offset, &pbuf)?;
             }
@@ -548,12 +510,7 @@ impl BlockStore {
             // The replacement is installed: also write the data
             // directly and mark the unit valid.
             self.disks[addr.disk as usize].write_unit(addr.offset, &data[index as usize])?;
-            let mut st = lock(&self.state);
-            if let Some(f) = st.slot_mut(addr.disk) {
-                if let Some(rebuilt) = &mut f.rebuilt {
-                    rebuilt[addr.offset as usize] = true;
-                }
-            }
+            lock(&self.state).mark_rebuilt(addr);
         }
         Ok(())
     }

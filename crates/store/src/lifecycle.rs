@@ -5,13 +5,13 @@ use crate::checksum::{region_bytes, ChecksumTable};
 use crate::error::{Result, StoreError};
 use crate::health::HealthMonitor;
 use crate::lock;
-use crate::store::{BlockStore, DiskFile, FailedDisk, FaultState, MAX_STRIPE_LOCKS};
+use crate::store::{BlockStore, DiskFile, FaultState, MAX_STRIPE_LOCKS};
 use crate::superblock::{LayoutSpec, Superblock, BLOCK_BYTES, SUPERBLOCK_BYTES};
 use decluster_array::{ConsistencyReport, RecoveryPolicy};
 use decluster_core::layout::ArrayMapping;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 /// Builds the [`DiskBackend`] for disk `index` over its freshly opened
@@ -93,35 +93,16 @@ impl BlockStore {
         let mut disks = Vec::with_capacity(spec.disks() as usize);
         for i in 0..spec.disks() {
             let path = disk_path(dir, i);
-            let file = DiskFile::open_file(&path, true)?;
-            let backend = factory(i, file);
+            let backend = factory(i, DiskFile::open_file(&path, true)?);
             backend
                 .set_len(size)
                 .map_err(|e| StoreError::io("size backing file", &path, e))?;
-            let d = DiskFile {
-                index: i,
-                path,
-                backend,
-                data_start,
-                sums: ChecksumTable::zeroed(units_per_disk, unit_bytes as usize),
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
-            };
-            d.write_superblock(&Superblock {
-                spec,
-                unit_bytes,
-                units_per_disk,
-                disk_index: i,
-                array_id,
-                clean: false,
-                failed: [None; 2],
-            })?;
-            d.persist_sums()?;
-            disks.push(Arc::new(d));
+            let sums = ChecksumTable::zeroed(units_per_disk, unit_bytes as usize);
+            disks.push(Arc::new(DiskFile::new(i, path, backend, data_start, sums)));
         }
         let stripes = mapping.stripes();
         let intent = IntentBitmap::create(&bitmap_path(dir), stripes, default_region(stripes))?;
-        Self::assemble(
+        let store = Self::assemble(
             dir,
             mapping,
             spec,
@@ -130,7 +111,11 @@ impl BlockStore {
             disks,
             intent,
             Vec::new(),
-        )
+        )?;
+        // The superblock write syncs each disk, its checksum region with it.
+        store.persist_all_sums()?;
+        store.write_superblocks(false)?;
+        Ok(store)
     }
 
     /// Opens an existing store with the default crash-recovery policy
@@ -279,8 +264,7 @@ impl BlockStore {
             .into_iter()
             .enumerate()
             .map(|(i, (path, _))| -> Result<Arc<DiskFile>> {
-                let file = DiskFile::open_file(&path, false)?;
-                let backend = factory(i as u16, file);
+                let backend = factory(i as u16, DiskFile::open_file(&path, false)?);
                 let sums = if failed.contains(&(i as u16)) {
                     // The failed disk's region is gone with its medium;
                     // nothing reads it until a replacement is installed
@@ -293,15 +277,9 @@ impl BlockStore {
                         .map_err(|e| StoreError::io("read checksum region", &path, e))?;
                     ChecksumTable::decode(&region, units)
                 };
-                Ok(Arc::new(DiskFile {
-                    index: i as u16,
-                    path,
-                    backend,
-                    data_start,
-                    sums,
-                    reads: AtomicU64::new(0),
-                    writes: AtomicU64::new(0),
-                }))
+                Ok(Arc::new(DiskFile::new(
+                    i as u16, path, backend, data_start, sums,
+                )))
             })
             .collect::<Result<Vec<_>>>()?;
         let intent = IntentBitmap::open(&bitmap_path(dir), mapping.stripes())?;
@@ -340,6 +318,10 @@ impl BlockStore {
         let gate = SyncGate::new(intent.try_clone_file()?, bitmap_path(dir));
         let disk_count = disks.len() as u16;
         let degraded = !failed.is_empty();
+        let mut state = FaultState::default();
+        for disk in failed {
+            state.fail(disk);
+        }
         Ok(BlockStore {
             dir: dir.to_path_buf(),
             blocks_per_unit: (unit_bytes / BLOCK_BYTES) as u64,
@@ -350,15 +332,7 @@ impl BlockStore {
             array_id,
             disks,
             locks: (0..lock_count).map(|_| Mutex::new(())).collect(),
-            state: Mutex::new(FaultState {
-                failed: failed
-                    .into_iter()
-                    .map(|disk| FailedDisk {
-                        disk,
-                        rebuilt: None,
-                    })
-                    .collect(),
-            }),
+            state: Mutex::new(state),
             degraded: AtomicBool::new(degraded),
             intent: Mutex::new(intent),
             gate,
@@ -427,16 +401,27 @@ impl BlockStore {
             if skip.contains(&(i as u16)) {
                 continue;
             }
-            d.write_superblock(&Superblock {
-                spec: self.spec,
-                unit_bytes: self.unit_bytes as u32,
-                units_per_disk: self.mapping.units_per_disk(),
-                disk_index: i as u16,
-                array_id: self.array_id,
-                clean,
-                failed: encoded,
-            })?;
+            d.write_superblock(&self.superblock(i as u16, encoded, clean))?;
         }
         Ok(())
+    }
+
+    /// This store's superblock for disk `disk_index`, recording the
+    /// failed disks `failed` and the `clean` flag.
+    pub(crate) fn superblock(
+        &self,
+        disk_index: u16,
+        failed: [Option<u16>; 2],
+        clean: bool,
+    ) -> Superblock {
+        Superblock {
+            spec: self.spec,
+            unit_bytes: self.unit_bytes as u32,
+            units_per_disk: self.mapping.units_per_disk(),
+            disk_index,
+            array_id: self.array_id,
+            clean,
+            failed,
+        }
     }
 }

@@ -160,6 +160,18 @@ pub fn gf_mul_into(acc: &mut [u8], src: &[u8], coeff: u8) {
     }
 }
 
+/// Adds data unit `index`'s share of parity `j` to `acc`: P (`j = 0`)
+/// is the plain XOR of the data units, Q (`j = 1`) their GF(256) sum
+/// weighted by `gᶦ`. The one place that knows which unit gets which
+/// coefficient; every stripe routine of the store folds through it.
+pub fn fold_into(acc: &mut [u8], j: u16, index: u16, unit: &[u8]) {
+    if j == 0 {
+        xor_into(acc, unit);
+    } else {
+        gf_mul_into(acc, unit, gf_pow2(index));
+    }
+}
+
 /// `buf[i] = coeff·buf[i]` in GF(256).
 pub fn gf_scale(buf: &mut [u8], coeff: u8) {
     if coeff == 1 {

@@ -1,7 +1,6 @@
 use crate::error::{Result, StoreError};
 use crate::lock;
-use crate::store::{BlockStore, FailedDisk};
-use crate::superblock::Superblock;
+use crate::store::BlockStore;
 use std::num::NonZeroUsize;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -58,13 +57,13 @@ impl BlockStore {
     /// Applies a pending error-budget demotion, if one is flagged: the
     /// sick disk becomes the failed disk — its data is left in place
     /// but no longer trusted — and the surviving superblocks record the
-    /// degradation. Called automatically at operation boundaries; safe
-    /// to call directly. Returns the demoted disk.
+    /// degradation. Called at operation boundaries. Returns the demoted
+    /// disk.
     ///
     /// # Errors
     ///
     /// Fails if recording the degradation in the superblocks fails.
-    pub fn apply_pending_demotion(&self) -> Result<Option<u16>> {
+    pub(crate) fn apply_pending_demotion(&self) -> Result<Option<u16>> {
         if !self.health.pending_demotion() {
             return Ok(None);
         }
@@ -80,20 +79,13 @@ impl BlockStore {
                 // automatically — a second failure is an operator call.
                 return Ok(None);
             }
-            st.failed.push(FailedDisk {
-                disk,
-                rebuilt: None,
-            });
+            st.fail(disk);
             self.degraded.store(true, Ordering::Release);
         }
         self.health.note_demotion();
         self.write_superblocks(false)?;
         Ok(Some(disk))
     }
-
-    // ------------------------------------------------------------------
-    // Fault management
-    // ------------------------------------------------------------------
 
     /// Fails a disk: its medium (superblock included) is scrambled and
     /// the surviving superblocks record the degradation. A P+Q array
@@ -111,7 +103,7 @@ impl BlockStore {
         let _guards = self.lock_all_stripes();
         {
             let mut st = lock(&self.state);
-            if st.is_failed(disk) {
+            if st.slot(disk).is_some() {
                 return Err(StoreError::state(format!("disk {disk} is already failed")));
             }
             let tolerated = self.parity_units() as usize;
@@ -121,10 +113,7 @@ impl BlockStore {
                     st.failed.len()
                 )));
             }
-            st.failed.push(FailedDisk {
-                disk,
-                rebuilt: None,
-            });
+            st.fail(disk);
             self.degraded.store(true, Ordering::Release);
         }
         // Losing the medium: scramble the whole file so nothing can
@@ -179,15 +168,7 @@ impl BlockStore {
                 .and_then(|()| d.backend.set_len(size))
                 .map_err(|e| StoreError::io("zero replacement disk", &d.path, e))?;
             d.sums.reset_zeroed(self.unit_bytes);
-            d.write_superblock(&Superblock {
-                spec: self.spec,
-                unit_bytes: self.unit_bytes as u32,
-                units_per_disk,
-                disk_index: f.disk,
-                array_id: self.array_id,
-                clean: false,
-                failed: encoded,
-            })?;
+            d.write_superblock(&self.superblock(f.disk, encoded, false))?;
             d.persist_sums()?;
             f.rebuilt = Some(vec![false; units_per_disk as usize]);
         }
@@ -339,12 +320,7 @@ impl BlockStore {
                     if u.disk == fd {
                         chunk.rebuilt += 1;
                     }
-                    let mut st = lock(&self.state);
-                    if let Some(f) = st.slot_mut(u.disk) {
-                        if let Some(rebuilt) = &mut f.rebuilt {
-                            rebuilt[u.offset as usize] = true;
-                        }
-                    }
+                    lock(&self.state).mark_rebuilt(*u);
                 }
             }
         }

@@ -184,10 +184,7 @@ impl BlockStore {
         std::thread::spawn(move || {
             let started = Instant::now();
             let mut buf = vec![0u8; unit_bytes];
-            let res = primary
-                .read_unit(offset, &mut buf)
-                .and_then(|()| primary.check_sum(offset, &buf))
-                .map(|()| buf);
+            let res = primary.read_checked(offset, &mut buf).map(|()| buf);
             let _ = tx.send((res, started.elapsed()));
         });
         let reconstructed = (|| -> Result<()> {
@@ -263,10 +260,7 @@ impl BlockStore {
                     continue;
                 }
                 report.units_scanned += 1;
-                let d = &self.disks[u.disk as usize];
-                let res = d
-                    .read_unit(u.offset, &mut buf)
-                    .and_then(|()| d.check_sum(u.offset, &buf));
+                let res = self.disks[u.disk as usize].read_checked(u.offset, &mut buf);
                 let Err(err) = res else { continue };
                 let is_checksum = matches!(
                     err,

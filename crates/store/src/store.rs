@@ -2,7 +2,7 @@
 //! layout math routing every access.
 //!
 //! [`BlockStore`] exposes a flat logical block address space
-//! ([`BLOCK_BYTES`]-sized blocks) and maps it through
+//! ([`BLOCK_BYTES`](crate::BLOCK_BYTES)-sized blocks) and maps it through
 //! [`ArrayMapping`] exactly as the byte-accurate model
 //! (`decluster_array::data::DataArray`) does, so the two are
 //! byte-for-byte comparable: fault-free writes are read-modify-write
@@ -42,8 +42,6 @@ use crate::error::{Result, StoreError};
 use crate::health::{FaultCounters, HealthMonitor};
 use crate::lock;
 use crate::stats::StoreStats;
-#[cfg(doc)]
-use crate::superblock::BLOCK_BYTES;
 use crate::superblock::{LayoutSpec, Superblock, SUPERBLOCK_BYTES};
 use decluster_core::layout::{ArrayMapping, UnitAddr, UnitRole};
 use std::fs::OpenOptions;
@@ -68,11 +66,31 @@ pub(crate) struct DiskFile {
     pub(crate) data_start: u64,
     /// In-memory checksum table.
     pub(crate) sums: ChecksumTable,
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
 }
 
 impl DiskFile {
+    /// Disk `index` over `backend`, its data area at `data_start` and
+    /// `sums` as its checksum table; the I/O counters start at zero.
+    pub(crate) fn new(
+        index: u16,
+        path: PathBuf,
+        backend: Box<dyn DiskBackend>,
+        data_start: u64,
+        sums: ChecksumTable,
+    ) -> DiskFile {
+        DiskFile {
+            index,
+            path,
+            backend,
+            data_start,
+            sums,
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+        }
+    }
+
     pub(crate) fn open_file(path: &Path, create: bool) -> Result<std::fs::File> {
         OpenOptions::new()
             .read(true)
@@ -108,15 +126,16 @@ impl DiskFile {
         Ok(())
     }
 
+    /// Reads the unit at `offset` into `buf` and verifies it against
+    /// the checksum table.
+    pub(crate) fn read_checked(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_unit(offset, buf)?;
+        self.check_sum(offset, buf)
+    }
+
     /// Writes the stripe unit at `offset` and records its checksum.
     pub(crate) fn write_unit(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let pos = self.data_start + offset * data.len() as u64;
-        self.backend
-            .write_at(data, pos)
-            .map_err(|e| StoreError::media(self.index, offset, &e))?;
-        self.sums.set(offset, fingerprint64(data));
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.write_units(offset, data, data.len())
     }
 
     /// Writes `data.len() / unit_bytes` units contiguous from `offset`
@@ -187,16 +206,24 @@ impl FaultState {
         })
     }
 
-    pub(crate) fn is_failed(&self, disk: u16) -> bool {
-        self.failed.iter().any(|f| f.disk == disk)
-    }
-
     pub(crate) fn slot(&self, disk: u16) -> Option<&FailedDisk> {
         self.failed.iter().find(|f| f.disk == disk)
     }
 
-    pub(crate) fn slot_mut(&mut self, disk: u16) -> Option<&mut FailedDisk> {
-        self.failed.iter_mut().find(|f| f.disk == disk)
+    /// Records `disk` as failed, with no replacement installed.
+    pub(crate) fn fail(&mut self, disk: u16) {
+        self.failed.push(FailedDisk {
+            disk,
+            rebuilt: None,
+        });
+    }
+
+    /// Marks `addr` valid on its disk's installed replacement, if any.
+    pub(crate) fn mark_rebuilt(&mut self, addr: UnitAddr) {
+        let slot = self.failed.iter_mut().find(|f| f.disk == addr.disk);
+        if let Some(rebuilt) = slot.and_then(|f| f.rebuilt.as_mut()) {
+            rebuilt[addr.offset as usize] = true;
+        }
     }
 
     /// The failed disks in the superblock's two-slot wire form.
@@ -243,7 +270,7 @@ pub struct BlockStore {
     pub(crate) disks: Vec<Arc<DiskFile>>,
     pub(crate) locks: Vec<Mutex<()>>,
     pub(crate) state: Mutex<FaultState>,
-    /// Mirrors `state.failed.is_some()`; flipped only with every stripe
+    /// Mirrors `!state.failed.is_empty()`; flipped only with every stripe
     /// lock held, so I/O paths can skip the state mutex when fault-free.
     pub(crate) degraded: AtomicBool,
     pub(crate) intent: Mutex<IntentBitmap>,
@@ -253,10 +280,6 @@ pub struct BlockStore {
 }
 
 impl BlockStore {
-    // ------------------------------------------------------------------
-    // Geometry accessors
-    // ------------------------------------------------------------------
-
     /// The layout construction this store was formatted with.
     pub fn spec(&self) -> LayoutSpec {
         self.spec
@@ -277,7 +300,7 @@ impl BlockStore {
         self.mapping.data_units()
     }
 
-    /// Logical blocks addressable ([`BLOCK_BYTES`] each).
+    /// Logical blocks addressable ([`BLOCK_BYTES`](crate::BLOCK_BYTES) each).
     pub fn block_count(&self) -> u64 {
         self.data_units() * self.blocks_per_unit
     }
@@ -405,6 +428,22 @@ mod tests {
         LayoutSpec::Complete { disks: 5, group: 4 }
     }
 
+    impl BlockStore {
+        /// Tears `stripe` the way an interrupted write would: every byte
+        /// of its last parity unit (Q on a P+Q layout) flipped, straight
+        /// through the unit's disk.
+        fn scramble_parity(&self, stripe: u64) -> Result<()> {
+            let parity = *self.mapping.stripe_units(stripe).last().unwrap();
+            let disk = &self.disks[parity.disk as usize];
+            let mut buf = self.buffers.get();
+            disk.read_unit(parity.offset, &mut buf)?;
+            for b in buf.iter_mut() {
+                *b = !*b;
+            }
+            disk.write_unit(parity.offset, &buf)
+        }
+    }
+
     #[test]
     fn create_write_read_round_trip_and_reopen() {
         let dir = fresh_dir("round-trip");
@@ -435,8 +474,17 @@ mod tests {
 
     #[test]
     fn unclean_open_recovers_torn_parity() {
-        let dir = fresh_dir("torn");
-        let store = BlockStore::create(&dir, small_spec(), 32, 512, 7).unwrap();
+        // The torn unit is P on the single-parity layout and Q on P+Q,
+        // where only the weighted fold can see it.
+        let pq: LayoutSpec = "pq:c5g4".parse().unwrap();
+        for (name, spec) in [("torn", small_spec()), ("torn-pq", pq)] {
+            unclean_open_recovers_torn_parity_on(name, spec);
+        }
+    }
+
+    fn unclean_open_recovers_torn_parity_on(name: &str, spec: LayoutSpec) {
+        let dir = fresh_dir(name);
+        let store = BlockStore::create(&dir, spec, 32, 512, 7).unwrap();
         for l in 0..store.data_units() {
             store.write_unit(l, &vec![l as u8; 512]).unwrap();
         }
@@ -446,14 +494,20 @@ mod tests {
         let seq = store.mapping().seq_of_stripe(stripe).unwrap();
         let region = lock(&store.intent).region() as u64;
         store.scramble_parity(stripe).unwrap();
+        let err = store.verify_parity().unwrap_err();
+        assert!(
+            matches!(err, StoreError::ParityMismatch { stripe: s } if s == stripe),
+            "{spec}: {err}"
+        );
         lock(&store.intent).stage_range(seq, seq).unwrap();
         drop(store);
 
         let (store, report) =
             BlockStore::open_with_recovery(&dir, RecoveryPolicy::FullResync).unwrap();
         let report = report.expect("unclean store must recover");
-        assert_eq!(report.torn_found, 1);
-        assert_eq!(report.torn_repaired, 1);
+        assert_eq!(report.torn_found, 1, "{spec}");
+        assert_eq!(report.torn_repaired, 1, "{spec}");
+        assert_eq!(report.resync_units_written, 1, "{spec}");
         assert_eq!(report.stripes_checked, store.mapping().stripes());
         store.verify_parity().unwrap();
 
