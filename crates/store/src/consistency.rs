@@ -84,9 +84,10 @@ impl BlockStore {
                 report.torn_repaired += 1;
             }
         }
-        // Persist the healed tables before dropping the dirty bits: a
-        // crash in between must re-run this heal, not trust stale slots.
-        self.persist_all_sums()?;
+        // Make the repairs and the healed tables durable before dropping
+        // the dirty bits: a crash in between must re-run this heal, not
+        // trust stale slots or half-written parity.
+        self.flush()?;
         lock(&self.intent).clear_all()?;
         report.recovery_secs = start.elapsed().as_secs_f64();
         Ok(report)
