@@ -413,7 +413,7 @@ fn execute(
                 return invalid(out, "read length exceeds the frame cap");
             }
             let blocks = (len / block_bytes) as u64;
-            if header.a + blocks > store.block_count() {
+            if past_end(store, header.a, blocks) {
                 return invalid(out, "read range past end of device");
             }
             // Straight into the frame, behind the header slots.
@@ -427,13 +427,16 @@ fn execute(
                 );
             }
             let blocks = (body.len() / block_bytes) as u64;
-            if header.a + blocks > store.block_count() {
+            if past_end(store, header.a, blocks) {
                 return invalid(out, "write range past end of device");
             }
             store.write_blocks(header.a, body)
         }
         Opcode::Flush => store.flush(),
-        Opcode::FailDisk => store.fail_disk(header.a as u16),
+        Opcode::FailDisk => match u16::try_from(header.a) {
+            Ok(disk) => store.fail_disk(disk),
+            Err(_) => return invalid(out, "disk index out of range"),
+        },
         Opcode::ReplaceDisk => store.replace_disk(),
         Opcode::StartRebuild => store
             .rebuild(header.a as usize)
@@ -452,6 +455,13 @@ fn execute(
         Ok(()) => Status::Ok,
         Err(e) => store_error(out, &e),
     }
+}
+
+/// Whether `blocks` blocks from `block` overrun the device (or `u64`).
+fn past_end(store: &BlockStore, block: u64, blocks: u64) -> bool {
+    block
+        .checked_add(blocks)
+        .is_none_or(|end| end > store.block_count())
 }
 
 fn invalid(out: &mut ResponseFrame, reason: &str) -> Status {

@@ -583,6 +583,29 @@ fn malformed_frames_are_answered_and_survivable() {
     let (header, body) = raw_response(&mut stream);
     assert_eq!(header.status, Status::Ok);
     assert!(String::from_utf8_lossy(&body).contains("\"disks\":5"));
+
+    // Wire arguments that do not fit are refused, not truncated or
+    // overflowed: 65539 is disk 3 once cut to u16, and a range from
+    // u64::MAX wraps. A lost reply times out instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let block = vec![0u8; BLOCK_BYTES as usize];
+    let cases: [(Opcode, u64, u32, &[u8]); 3] = [
+        (Opcode::FailDisk, 65_539, 0, &[]),
+        (Opcode::Read, u64::MAX, BLOCK_BYTES, &[]),
+        (Opcode::Write, u64::MAX, 0, &block),
+    ];
+    for (i, (opcode, a, b, body)) in cases.into_iter().enumerate() {
+        let req_id = 20 + i as u64;
+        raw_request(&mut stream, req_id, opcode, 0, a, b, body);
+        let (header, _) = raw_response(&mut stream);
+        assert_eq!(header.req_id, req_id);
+        assert_eq!(header.status, Status::Invalid, "{opcode:?} a={a}");
+    }
+    assert!(store.failed_disks().is_empty(), "no disk may fail");
+    raw_request(&mut stream, 30, Opcode::Stats, 0, 0, 0, &[]);
+    assert_eq!(raw_response(&mut stream).0.status, Status::Ok);
     server.stop().unwrap();
 }
 
