@@ -11,7 +11,7 @@
 //!   success, a parity read-repair, or a typed escalation;
 //! * the demoted disk rebuilt completely.
 //!
-//! The run's [`FaultReport`] is written as JSON (default
+//! The run's fault report is written as JSON (default
 //! `results/torture.json`; schema in `EXPERIMENTS.md`). `--smoke` is
 //! the fixed-seed CI-sized variant wired into `scripts/check.sh`.
 //!

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, release build, test suite, lint-clean
-# clippy, campaign smoke runs (including the scrub/crash arms, one at
-# default scale), a file-backed store smoke cycle, and a network block
-# service smoke (sessioned clients through fail + rebuild). It checks
-# correctness only and writes only to a temp dir; performance is
-# measured by benchmark/.
+# clippy, warning-free rustdoc, campaign smoke runs (including the
+# scrub/crash arms, one at default scale), a file-backed store smoke
+# cycle, and a network block service smoke (sessioned clients through
+# fail + rebuild). It checks correctness only and writes only to a
+# temp dir; performance is measured by benchmark/.
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -21,6 +21,9 @@ cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (warnings are errors: broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 SCRUB_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SCRUB_SMOKE_DIR"' EXIT
