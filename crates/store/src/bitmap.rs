@@ -205,12 +205,7 @@ impl IntentBitmap {
     /// Returns [`StoreError::Io`] if a page write fails, or an
     /// invalid-state error for an out-of-range seq.
     pub fn stage_range(&mut self, lo: u64, hi: u64) -> Result<bool> {
-        if lo > hi || hi >= self.stripes {
-            return Err(StoreError::state(format!(
-                "stripe seq range {lo}..={hi} beyond bitmap ({} stripes)",
-                self.stripes
-            )));
-        }
+        self.check_range(lo, hi)?;
         let mut need_sync = false;
         for r in lo / self.region as u64..=hi / self.region as u64 {
             self.active[r as usize] += 1;
@@ -234,12 +229,7 @@ impl IntentBitmap {
     ///
     /// Returns an invalid-state error for an out-of-range seq.
     pub fn release_range(&mut self, lo: u64, hi: u64) -> Result<()> {
-        if lo > hi || hi >= self.stripes {
-            return Err(StoreError::state(format!(
-                "stripe seq range {lo}..={hi} beyond bitmap ({} stripes)",
-                self.stripes
-            )));
-        }
+        self.check_range(lo, hi)?;
         for r in lo / self.region as u64..=hi / self.region as u64 {
             let active = &mut self.active[r as usize];
             debug_assert!(*active > 0, "release without a matching stage");
@@ -247,6 +237,16 @@ impl IntentBitmap {
             if *active == 0 {
                 self.bits[(r / 8) as usize] &= !(1u8 << (r % 8));
             }
+        }
+        Ok(())
+    }
+
+    fn check_range(&self, lo: u64, hi: u64) -> Result<()> {
+        if lo > hi || hi >= self.stripes {
+            return Err(StoreError::state(format!(
+                "stripe seq range {lo}..={hi} beyond bitmap ({} stripes)",
+                self.stripes
+            )));
         }
         Ok(())
     }

@@ -60,7 +60,30 @@ impl ScrubReport {
     }
 }
 
+/// Whether `err` is a checksum mismatch: the read "succeeded" with
+/// wrong bytes, so retrying cannot help.
+fn is_checksum(err: &StoreError) -> bool {
+    matches!(
+        err,
+        StoreError::Media {
+            kind: MediaKind::Checksum,
+            ..
+        }
+    )
+}
+
 impl BlockStore {
+    /// Charges one detected fault to `disk`: the checksum or media
+    /// counter, and the disk's error budget.
+    fn note_fault(&self, disk: u16, is_checksum: bool) {
+        if is_checksum {
+            self.health.note_checksum_error();
+        } else {
+            self.health.note_media_error();
+        }
+        self.health.record_fault(disk);
+    }
+
     /// One read attempt: raw read (latency sampled into the disk's
     /// EWMA), then checksum verification.
     fn timed_read_checked(&self, addr: UnitAddr, out: &mut [u8]) -> Result<()> {
@@ -85,19 +108,8 @@ impl BlockStore {
         let Err(first) = self.timed_read_checked(addr, out) else {
             return Ok(());
         };
-        let is_checksum = matches!(
-            first,
-            StoreError::Media {
-                kind: MediaKind::Checksum,
-                ..
-            }
-        );
-        if is_checksum {
-            self.health.note_checksum_error();
-        } else {
-            self.health.note_media_error();
-        }
-        self.health.record_fault(addr.disk);
+        let is_checksum = is_checksum(&first);
+        self.note_fault(addr.disk, is_checksum);
         let mut last = first;
         if !is_checksum {
             // EIO-class: the medium may answer on a second try. A
@@ -262,25 +274,14 @@ impl BlockStore {
                 report.units_scanned += 1;
                 let res = self.disks[u.disk as usize].read_checked(u.offset, &mut buf);
                 let Err(err) = res else { continue };
-                let is_checksum = matches!(
-                    err,
-                    StoreError::Media {
-                        kind: MediaKind::Checksum,
-                        ..
-                    }
-                );
+                let is_checksum = is_checksum(&err);
                 if is_checksum {
                     report.checksum_errors += 1;
                 } else {
                     report.media_errors += 1;
                 }
                 if repair {
-                    if is_checksum {
-                        self.health.note_checksum_error();
-                    } else {
-                        self.health.note_media_error();
-                    }
-                    self.health.record_fault(u.disk);
+                    self.note_fault(u.disk, is_checksum);
                     match self.repair_unit(*u, &mut buf, err) {
                         Ok(()) => report.repaired += 1,
                         Err(_) => {
