@@ -1,3 +1,20 @@
+//! The user I/O path: the stripe decode engine (degraded reads through
+//! P, Q or both) and block reads and writes.
+//!
+//! The hot path is built to be syscall- and memory-bandwidth-limited
+//! (see DESIGN.md §11): a write extent covering all `G−1` data units of
+//! a stripe takes the **full-stripe fast path** — parity computed
+//! straight from the new data, exactly `G` positional writes, zero
+//! reads — with the per-disk submissions of one batch sorted and
+//! coalesced so units landing at adjacent offsets of one file go down
+//! in a single `pwrite`. Scratch units come from a per-store
+//! [`BufferPool`](crate::buffer::BufferPool) instead of the allocator,
+//! every parity computation runs through the kernels in
+//! [`crate::parity`], and the write-intent log is staged per *request*
+//! and group-committed across threads (one fdatasync covers every
+//! stripe the request dirties, and concurrent requests share flushes;
+//! see [`crate::bitmap`]).
+
 use crate::buffer::PooledBuf;
 use crate::error::{Result, StoreError};
 use crate::lock;

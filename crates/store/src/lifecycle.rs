@@ -1,3 +1,7 @@
+//! The store's lifecycle: format (`create`), open with superblock
+//! consensus and crash recovery, `flush`, clean `close`, and the
+//! superblock and checksum-region writes they share.
+
 use crate::backend::{DiskBackend, FileBackend};
 use crate::bitmap::{default_region, IntentBitmap, SyncGate};
 use crate::buffer::BufferPool;

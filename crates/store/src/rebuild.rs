@@ -1,3 +1,7 @@
+//! Failure and rebuild: error-budget demotion, `fail_disk`,
+//! `replace_disk`, and the online rebuild whose per-disk read counters
+//! measure the paper's α.
+
 use crate::error::{Result, StoreError};
 use crate::lock;
 use crate::store::BlockStore;

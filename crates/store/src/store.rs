@@ -12,18 +12,12 @@
 //! and degraded reads reconstruct on the fly from the XOR of the
 //! stripe's survivors.
 //!
-//! The hot path is built to be syscall- and memory-bandwidth-limited
-//! (see DESIGN.md §11): a write extent covering all `G−1` data units of
-//! a stripe takes the **full-stripe fast path** — parity computed
-//! straight from the new data, exactly `G` positional writes, zero
-//! reads — with the per-disk submissions of one batch sorted and
-//! coalesced so units landing at adjacent offsets of one file go down
-//! in a single `pwrite`. Scratch units come from a per-store
-//! [`BufferPool`] instead of the allocator, every XOR runs through the
-//! wide kernels in [`crate::parity`], and the write-intent log is
-//! staged per *request* and group-committed across threads (one
-//! fdatasync covers every stripe the request dirties, and concurrent
-//! requests share flushes; see [`crate::bitmap`]).
+//! This file holds the [`BlockStore`] struct, its per-disk and fault
+//! state, the accessors and the stripe locks. The rest of the `impl` is
+//! split by concern: `lifecycle` (create, open, flush, close), `io`
+//! (the stripe decode engine and block I/O), `rebuild` (failure,
+//! replacement, online rebuild), `consistency` (parity check and crash
+//! resync) and `repair` (verified reads, read-repair, scrub).
 //!
 //! Concurrency: a fixed table of stripe locks serializes the
 //! read-modify-write cycles of colliding stripes while letting disjoint
