@@ -383,4 +383,23 @@ mod tests {
         }
         assert_eq!(q, fresh);
     }
+
+    #[test]
+    fn fold_into_is_the_p_and_q_definition() {
+        // P = ⊕ dᵢ and Q = ⊕ gᶦ·dᵢ, byte by byte, with the bit-serial
+        // multiply as the reference.
+        let units: Vec<Vec<u8>> = (0..6).map(|i| pattern(40 + i, 97)).collect();
+        for j in 0..2u16 {
+            let mut acc = vec![0u8; 97];
+            let mut expect = vec![0u8; 97];
+            for (i, u) in units.iter().enumerate() {
+                fold_into(&mut acc, j, i as u16, u);
+                let coeff = if j == 0 { 1 } else { gf_pow2(i as u16) };
+                for (e, &b) in expect.iter_mut().zip(u) {
+                    *e ^= gf_mul_ref(coeff, b);
+                }
+            }
+            assert_eq!(acc, expect, "parity {j}");
+        }
+    }
 }
