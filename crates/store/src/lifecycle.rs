@@ -432,6 +432,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::fresh_dir;
     use std::io;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -477,12 +478,7 @@ mod tests {
 
     #[test]
     fn intent_bits_clear_only_after_the_data_is_durable() {
-        let dir = std::env::temp_dir()
-            .join("decluster-store-unit-tests")
-            .join(format!("intent-order-{}", std::process::id()));
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        let dir = fresh_dir("intent-order");
         let spec = LayoutSpec::Complete { disks: 5, group: 4 };
         let store = BlockStore::create(&dir, spec, 32, 512, 21).unwrap();
         for l in 0..store.data_units() {

@@ -401,14 +401,14 @@ impl BlockStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lifecycle::disk_path;
     use crate::superblock::BLOCK_BYTES;
     use decluster_array::RecoveryPolicy;
     use std::os::unix::fs::FileExt;
 
-    fn fresh_dir(name: &str) -> PathBuf {
+    pub(crate) fn fresh_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("decluster-store-unit-tests")
             .join(format!("{name}-{}", std::process::id()));
