@@ -457,7 +457,8 @@ fn execute(
     }
 }
 
-/// Whether `blocks` blocks from `block` overrun the device (or `u64`).
+/// Whether the range of `blocks` blocks from `block` ends past the
+/// device, an end that overflows `u64` included.
 fn past_end(store: &BlockStore, block: u64, blocks: u64) -> bool {
     block
         .checked_add(blocks)
