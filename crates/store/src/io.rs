@@ -7,7 +7,11 @@
 //! straight from the new data, exactly `G` positional writes, zero
 //! reads — with the per-disk submissions of one batch sorted and
 //! coalesced so units landing at adjacent offsets of one file go down
-//! in a single `pwrite`. Scratch units come from a per-store
+//! in a single `pwrite`. A healthy read of two or more whole units is
+//! grouped the same way ([`disk_runs`]): one `pread` per maximal run
+//! of adjacent offsets on one disk, each run under its own stripe
+//! locks, every unit still checksum-verified and read-repaired exactly
+//! as a single-unit read would be. Scratch units come from a per-store
 //! [`BufferPool`](crate::buffer::BufferPool) instead of the allocator,
 //! every parity computation runs through the kernels in
 //! [`crate::parity`], and the write-intent log is staged per *request*
@@ -35,6 +39,14 @@ enum NewData<'a> {
     Full(&'a [u8]),
     /// Overwrite `bytes` at byte offset `at`, keeping the rest.
     Splice { at: usize, bytes: &'a [u8] },
+}
+
+/// Sorts `(disk, offset, payload)` unit ops by position and yields each
+/// maximal run of them: one disk, offsets ascending by one. A run is
+/// what one positional read or write can cover.
+fn disk_runs<T>(ops: &mut [(u16, u64, T)]) -> impl Iterator<Item = &[(u16, u64, T)]> {
+    ops.sort_unstable_by_key(|op| (op.0, op.1));
+    ops.chunk_by(|a, b| a.0 == b.0 && b.1 == a.1 + 1)
 }
 
 impl BlockStore {
@@ -171,9 +183,13 @@ impl BlockStore {
     }
 
     /// Reads `buf.len()` bytes starting at logical block `block`,
-    /// reconstructing degraded units on the fly. Whole-unit spans are
-    /// read straight into `buf`; only partial units stage through a
-    /// pooled scratch unit.
+    /// reconstructing degraded units on the fly.
+    ///
+    /// On a fault-free array, an extent holding two or more whole units
+    /// reads them one run at a time: one positional read per maximal run
+    /// of adjacent offsets on one disk, under that run's stripe locks
+    /// only. Partial head and tail units, and every unit of a degraded
+    /// array, are read one at a time.
     ///
     /// # Errors
     ///
@@ -181,8 +197,26 @@ impl BlockStore {
     /// any disk I/O fails.
     pub fn read_blocks(&self, block: u64, buf: &mut [u8]) -> Result<()> {
         self.check_extent(block, buf.len())?;
+        let bpu = self.blocks_per_unit;
+        let head = ((bpu - block % bpu) % bpu * BLOCK_BYTES as u64) as usize;
+        let head = head.min(buf.len());
+        let whole = (buf.len() - head) / self.unit_bytes;
+        if whole >= 2 && !self.is_degraded() {
+            let (head_buf, rest) = buf.split_at_mut(head);
+            let (mid, tail) = rest.split_at_mut(whole * self.unit_bytes);
+            let first = block.div_ceil(bpu);
+            if self.read_runs(first, mid)? {
+                self.read_unit_by_unit(block, head_buf)?;
+                return self.read_unit_by_unit((first + whole as u64) * bpu, tail);
+            }
+        }
+        self.read_unit_by_unit(block, buf)
+    }
+
+    /// Reads the extent at `block` one unit at a time: whole units
+    /// straight into `buf`, partial ones staged through a pooled unit.
+    fn read_unit_by_unit(&self, mut block: u64, buf: &mut [u8]) -> Result<()> {
         let mut scratch = None;
-        let mut block = block;
         let mut filled = 0;
         while filled < buf.len() {
             let logical = block / self.blocks_per_unit;
@@ -197,6 +231,81 @@ impl BlockStore {
             }
             filled += take;
             block += (take / BLOCK_BYTES as usize) as u64;
+        }
+        Ok(())
+    }
+
+    /// Reads the whole units from logical unit `first` into `out`, one
+    /// backend read per maximal run of adjacent offsets on one disk.
+    /// Each run is read under its own stripes' locks, taken in table
+    /// order and released before the next run. Returns `false` if a
+    /// disk failed while a run's locks were being taken; the caller
+    /// then reads the extent one unit at a time.
+    fn read_runs(&self, first: u64, out: &mut [u8]) -> Result<bool> {
+        self.apply_pending_demotion()?;
+        let ub = self.unit_bytes;
+        let layout = self.mapping.layout();
+        // (disk, offset, (stripe, unit index within `out`)) per unit.
+        let mut ops: Vec<(u16, u64, (u64, usize))> = (0..out.len() / ub)
+            .map(|i| {
+                let (stripe, index) = self.mapping.logical_to_stripe(first + i as u64);
+                let addr = layout.data_location(stripe, index);
+                (addr.disk, addr.offset, (stripe, i))
+            })
+            .collect();
+        let mut stage = Vec::new();
+        let mut buckets = Vec::new();
+        let mut guards: Vec<MutexGuard<'_, ()>> = Vec::new();
+        for run in disk_runs(&mut ops) {
+            buckets.clear();
+            buckets.extend(
+                run.iter()
+                    .map(|&(_, _, (stripe, _))| self.lock_bucket(stripe)),
+            );
+            buckets.sort_unstable();
+            buckets.dedup();
+            guards.extend(buckets.iter().map(|&b| lock(&self.locks[b])));
+            if self.is_degraded() {
+                return Ok(false);
+            }
+            self.read_run(run, &mut stage, out)?;
+            guards.clear();
+        }
+        Ok(true)
+    }
+
+    /// Reads one run (see [`disk_runs`]) into its units' slots of
+    /// `out`, staging the run's bytes in `stage`. The caller holds the
+    /// run's stripe locks.
+    fn read_run(
+        &self,
+        run: &[(u16, u64, (u64, usize))],
+        stage: &mut Vec<u8>,
+        out: &mut [u8],
+    ) -> Result<()> {
+        let ub = self.unit_bytes;
+        let (disk, offset, _) = run[0];
+        if run.len() == 1 || self.health.limping(disk) {
+            for &(disk, offset, (stripe, i)) in run {
+                let addr = UnitAddr::new(disk, offset);
+                self.read_live_unit(stripe, addr, &mut out[i * ub..(i + 1) * ub])?;
+            }
+            return Ok(());
+        }
+        if stage.len() < run.len() * ub {
+            stage.resize(run.len() * ub, 0);
+        }
+        let stage = &mut stage[..run.len() * ub];
+        self.read_run_verified(disk, offset, stage)?;
+        for (&(disk, offset, (_, i)), unit) in run.iter().zip(stage.chunks_exact(ub)) {
+            let dst = &mut out[i * ub..(i + 1) * ub];
+            if self.disks[disk as usize].check_sum(offset, unit).is_ok() {
+                dst.copy_from_slice(unit);
+            } else {
+                // Re-read alone: the verified read detects, charges and
+                // repairs the mismatch exactly once.
+                self.read_unit_verified(UnitAddr::new(disk, offset), dst)?;
+            }
         }
         Ok(())
     }
@@ -299,10 +408,7 @@ impl BlockStore {
         // Lock buckets in table order — the same global order
         // `lock_all_stripes` uses — deduplicated so a bucket shared by
         // two stripes of the batch is taken once.
-        let mut buckets: Vec<usize> = ids
-            .iter()
-            .map(|s| (s % self.locks.len() as u64) as usize)
-            .collect();
+        let mut buckets: Vec<usize> = ids.iter().map(|&s| self.lock_bucket(s)).collect();
         buckets.sort_unstable();
         buckets.dedup();
         let _guards: Vec<MutexGuard<'_, ()>> =
@@ -338,26 +444,19 @@ impl BlockStore {
                 ops.push((u.disk, u.offset, &parity_bufs[i * m + j][..]));
             }
         }
-        ops.sort_unstable_by_key(|&(d, o, _)| (d, o));
-        let mut run: Vec<u8> = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            let (disk, offset, first) = ops[i];
-            let mut j = i + 1;
-            while j < ops.len() && ops[j].0 == disk && ops[j].1 == offset + (j - i) as u64 {
-                j += 1;
-            }
+        let mut stage: Vec<u8> = Vec::new();
+        for run in disk_runs(&mut ops) {
+            let (disk, offset, first) = run[0];
             let file = &self.disks[disk as usize];
-            if j == i + 1 {
+            if run.len() == 1 {
                 file.write_unit(offset, first)?;
             } else {
-                run.clear();
-                for &(_, _, payload) in &ops[i..j] {
-                    run.extend_from_slice(payload);
+                stage.clear();
+                for &(_, _, payload) in run {
+                    stage.extend_from_slice(payload);
                 }
-                file.write_units(offset, &run, ub)?;
+                file.write_units(offset, &stage, ub)?;
             }
-            i = j;
         }
         Ok(true)
     }
@@ -374,11 +473,7 @@ impl BlockStore {
         let (stripe, index) = self.mapping.logical_to_stripe(logical);
         let _guard = self.lock_stripe(stripe);
         if !self.is_degraded() {
-            let addr = self.mapping.logical_to_addr(logical);
-            if self.health.limping(addr.disk) {
-                return self.read_unit_hedged(stripe, addr, out);
-            }
-            return self.read_unit_verified(addr, out);
+            return self.read_live_unit(stripe, self.mapping.logical_to_addr(logical), out);
         }
         let units = self.mapping.stripe_units(stripe);
         let addr = units[index as usize];
@@ -388,6 +483,15 @@ impl BlockStore {
         }
         self.reconstruct_unit(&units, &lost, index as usize, out, true)?;
         Ok(())
+    }
+
+    /// Reads the unit at `addr` of `stripe` on a fault-free array,
+    /// hedged if its disk limps. The caller holds the stripe lock.
+    fn read_live_unit(&self, stripe: u64, addr: UnitAddr, out: &mut [u8]) -> Result<()> {
+        if self.health.limping(addr.disk) {
+            return self.read_unit_hedged(stripe, addr, out);
+        }
+        self.read_unit_verified(addr, out)
     }
 
     /// Writes one whole logical unit.

@@ -16,6 +16,11 @@
 //!    peer faulty — escalate the original error
 //!    as a typed [`StoreError::Media`]. Never wrong bytes.
 //!
+//! A multi-unit read's run `pread` ([`BlockStore::read_run_verified`])
+//! climbs the same ladder: a failed call is one media detection, the
+//! whole run is retried, and then its units are read one by one, each
+//! failing unit read-repaired as in step 3 or escalated as in step 4.
+//!
 //! Each detection increments exactly one of the checksum/media
 //! counters and resolves as exactly one retry-success, repair, or
 //! escalation — the ledger the torture harness balances against the
@@ -84,16 +89,60 @@ impl BlockStore {
         self.health.record_fault(disk);
     }
 
+    /// One backend read of the units contiguous from `offset` on
+    /// `disk`, unverified. The call's whole latency is one sample of
+    /// the disk's EWMA, however many units it covers: the latency a
+    /// limping disk adds is per call, not per unit.
+    fn timed_read(&self, disk: u16, offset: u64, out: &mut [u8]) -> Result<()> {
+        let t = Instant::now();
+        let res = self.disks[disk as usize].read_units(offset, out, self.unit_bytes);
+        self.health
+            .record_read_latency(disk, t.elapsed().as_secs_f64() * 1e6);
+        res
+    }
+
     /// One read attempt: raw read (latency sampled into the disk's
     /// EWMA), then checksum verification.
     fn timed_read_checked(&self, addr: UnitAddr, out: &mut [u8]) -> Result<()> {
-        let d = &self.disks[addr.disk as usize];
-        let t = Instant::now();
-        let res = d.read_unit(addr.offset, out);
-        self.health
-            .record_read_latency(addr.disk, t.elapsed().as_secs_f64() * 1e6);
-        res?;
-        d.check_sum(addr.offset, out)
+        self.timed_read(addr.disk, addr.offset, out)?;
+        self.disks[addr.disk as usize].check_sum(addr.offset, out)
+    }
+
+    /// The retry ladder shared by unit and run reads: `attempt` fills
+    /// `out`; its first failure is one detection charged to `disk`. An
+    /// `EIO`-class failure is retried with backoff, a success counting
+    /// as one retry success; a checksum mismatch, or a failure that
+    /// outlasts the retries, is handed to `resolve`.
+    fn read_with_retry(
+        &self,
+        disk: u16,
+        out: &mut [u8],
+        mut attempt: impl FnMut(&mut [u8]) -> Result<()>,
+        resolve: impl FnOnce(&mut [u8], StoreError) -> Result<()>,
+    ) -> Result<()> {
+        let Err(first) = attempt(out) else {
+            return Ok(());
+        };
+        let is_checksum = is_checksum(&first);
+        self.note_fault(disk, is_checksum);
+        let mut last = first;
+        if !is_checksum {
+            // EIO-class: the medium may answer on a second try. A
+            // checksum mismatch is not retried — the read "succeeded",
+            // the bytes are wrong, and only parity can fix that.
+            for delay in RETRY_BACKOFF {
+                self.health.note_retry();
+                std::thread::sleep(delay);
+                match attempt(out) {
+                    Ok(()) => {
+                        self.health.note_retry_success();
+                        return Ok(());
+                    }
+                    Err(e) => last = e,
+                }
+            }
+        }
+        resolve(out, last)
     }
 
     /// Reads the unit at `addr` with full fault handling: checksum
@@ -105,29 +154,55 @@ impl BlockStore {
     /// A typed [`StoreError::Media`] when the fault could not be
     /// resolved (escalation) — never silently wrong bytes.
     pub(crate) fn read_unit_verified(&self, addr: UnitAddr, out: &mut [u8]) -> Result<()> {
-        let Err(first) = self.timed_read_checked(addr, out) else {
-            return Ok(());
-        };
-        let is_checksum = is_checksum(&first);
-        self.note_fault(addr.disk, is_checksum);
-        let mut last = first;
-        if !is_checksum {
-            // EIO-class: the medium may answer on a second try. A
-            // checksum mismatch is not retried — the read "succeeded",
-            // the bytes are wrong, and only parity can fix that.
-            for delay in RETRY_BACKOFF {
-                self.health.note_retry();
-                std::thread::sleep(delay);
-                match self.timed_read_checked(addr, out) {
-                    Ok(()) => {
-                        self.health.note_retry_success();
-                        return Ok(());
-                    }
-                    Err(e) => last = e,
-                }
+        self.read_with_retry(
+            addr.disk,
+            out,
+            |out| self.timed_read_checked(addr, out),
+            |out, last| self.repair_unit(addr, out, last),
+        )
+    }
+
+    /// Reads the run of units contiguous from `offset` on `disk` in one
+    /// backend call, unverified: the caller checks each unit's checksum.
+    /// A failed call is one media detection, resolved by the ladder of
+    /// [`BlockStore::read_unit_verified`] applied to the run: retry the
+    /// whole run, then read its units one by one and read-repair each
+    /// one that fails. The caller holds the locks of every stripe the
+    /// run touches.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BlockStore::read_unit_verified`].
+    pub(crate) fn read_run_verified(&self, disk: u16, offset: u64, out: &mut [u8]) -> Result<()> {
+        self.read_with_retry(
+            disk,
+            out,
+            |out| self.timed_read(disk, offset, out),
+            |out, _| self.repair_run(disk, offset, out),
+        )
+    }
+
+    /// The run ladder's last rung. The run's detection is charged to
+    /// its first unit that fails on its own; each further failing unit
+    /// is a detection of its own. Each is read-repaired. If every unit
+    /// reads clean, the fault cleared between calls: one retry success.
+    fn repair_run(&self, disk: u16, offset: u64, out: &mut [u8]) -> Result<()> {
+        let mut charged = false;
+        for (k, unit) in out.chunks_exact_mut(self.unit_bytes).enumerate() {
+            let addr = UnitAddr::new(disk, offset + k as u64);
+            let Err(e) = self.timed_read(disk, addr.offset, unit) else {
+                continue;
+            };
+            if charged {
+                self.note_fault(disk, false);
             }
+            charged = true;
+            self.repair_unit(addr, unit, e)?;
         }
-        self.repair_unit(addr, out, last)
+        if !charged {
+            self.health.note_retry_success();
+        }
+        Ok(())
     }
 
     /// Read-repair: reconstructs the unit at `addr` from the XOR of

@@ -99,11 +99,20 @@ impl DiskFile {
     /// **without** checksum verification. A backend failure surfaces as
     /// a sector-granular [`StoreError::Media`].
     pub(crate) fn read_unit(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let pos = self.data_start + offset * buf.len() as u64;
+        self.read_units(offset, buf, buf.len())
+    }
+
+    /// Reads `buf.len() / unit_bytes` units contiguous from `offset` in
+    /// one positional read, unverified — the coalesced form the healthy
+    /// multi-unit read uses for adjacent units on one disk.
+    pub(crate) fn read_units(&self, offset: u64, buf: &mut [u8], unit_bytes: usize) -> Result<()> {
+        debug_assert!(buf.len().is_multiple_of(unit_bytes));
+        let pos = self.data_start + offset * unit_bytes as u64;
         self.backend
             .read_at(buf, pos)
             .map_err(|e| StoreError::media(self.index, offset, &e))?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads
+            .fetch_add((buf.len() / unit_bytes) as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -391,8 +400,13 @@ impl BlockStore {
         self.degraded.load(Ordering::Acquire)
     }
 
+    /// The stripe-lock table slot `stripe` hashes onto.
+    pub(crate) fn lock_bucket(&self, stripe: u64) -> usize {
+        (stripe % self.locks.len() as u64) as usize
+    }
+
     pub(crate) fn lock_stripe(&self, stripe: u64) -> MutexGuard<'_, ()> {
-        lock(&self.locks[(stripe % self.locks.len() as u64) as usize])
+        lock(&self.locks[self.lock_bucket(stripe)])
     }
 
     pub(crate) fn lock_all_stripes(&self) -> Vec<MutexGuard<'_, ()>> {

@@ -15,9 +15,10 @@ use decluster_core::layout::DeclusteredLayout;
 use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const UNITS_PER_DISK: u64 = 36;
 const UNIT_BYTES: usize = 1024;
@@ -219,4 +220,130 @@ fn fail_replace_rebuild_races_full_stripe_writes() {
         assert_eq!(buf, oracle.read(u), "unit {u} diverged from the oracle");
     }
     store.close().unwrap();
+}
+
+/// A unit image that names its own generation: bytes 0..8 hold it, the
+/// rest is [`content`]'s, so a reader can check a unit it did not
+/// write.
+fn tagged(logical: u64, generation: u64, unit_bytes: usize) -> Vec<u8> {
+    let mut unit = content(logical, generation);
+    unit.resize(unit_bytes, 0);
+    unit[..8].copy_from_slice(&generation.to_le_bytes());
+    unit
+}
+
+/// Signals its channel when dropped — on return or on panic — so the
+/// test can wait for its threads with a deadline.
+struct Done(mpsc::Sender<()>);
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
+}
+
+/// Two readers of 192-unit extents (run-coalesced while healthy) race
+/// two full-stripe writers and one `fail_disk`, which lands once the
+/// readers have finished some healthy reads; traffic stops once they
+/// have finished as many more. Every unit a reader sees must be an
+/// image some writer produced, and every thread must finish within the
+/// deadline — a lock-order cycle between run reads, stripe batches and
+/// the admin path would hang here.
+#[test]
+fn large_reads_race_full_stripe_writers_and_a_disk_failure() {
+    const UB: usize = 512;
+    const SPAN: u64 = 192;
+    let store = Arc::new(
+        BlockStore::create(
+            &fresh_dir("large-reads"),
+            "bibd:c10g4".parse().unwrap(),
+            336,
+            UB as u32,
+            0xFA12,
+        )
+        .unwrap(),
+    );
+    let data_units = store.data_units();
+    let stripes = data_units / DATA_PER_STRIPE;
+    let bpu = (UB / BLOCK_BYTES as usize) as u64;
+    let whole: Vec<u8> = (0..data_units).flat_map(|u| tagged(u, 0, UB)).collect();
+    store.write_blocks(0, &whole).unwrap();
+    // Generations handed out so far; a unit may show any of them.
+    let issued = Arc::new(AtomicU64::new(1));
+    let stop = Arc::new(AtomicBool::new(false));
+    let reads_done = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = mpsc::channel();
+    let mut handles = Vec::new();
+    for w in 0..2u64 {
+        let (store, issued, stop, done) = (
+            Arc::clone(&store),
+            Arc::clone(&issued),
+            Arc::clone(&stop),
+            Done(tx.clone()),
+        );
+        handles.push(std::thread::spawn(move || {
+            let _done = done;
+            let mut stripe = w;
+            while !stop.load(Ordering::Acquire) {
+                let g = issued.fetch_add(1, Ordering::AcqRel);
+                let lo = stripe % stripes * DATA_PER_STRIPE;
+                let data: Vec<u8> = (lo..lo + DATA_PER_STRIPE)
+                    .flat_map(|u| tagged(u, g, UB))
+                    .collect();
+                store.write_blocks(lo * bpu, &data).unwrap();
+                stripe += 2;
+            }
+        }));
+    }
+    for r in 0..2u64 {
+        let (store, issued, stop, reads_done, done) = (
+            Arc::clone(&store),
+            Arc::clone(&issued),
+            Arc::clone(&stop),
+            Arc::clone(&reads_done),
+            Done(tx.clone()),
+        );
+        handles.push(std::thread::spawn(move || {
+            let _done = done;
+            let mut buf = vec![0u8; SPAN as usize * UB];
+            let mut i = r;
+            while !stop.load(Ordering::Acquire) {
+                // Unit-aligned starts, stripe-aligned or not.
+                let first = i * 37 % (data_units - SPAN);
+                store.read_blocks(first * bpu, &mut buf).unwrap();
+                let seen = issued.load(Ordering::Acquire);
+                for (k, unit) in buf.chunks_exact(UB).enumerate() {
+                    let u = first + k as u64;
+                    let g = u64::from_le_bytes(unit[..8].try_into().unwrap());
+                    assert!(g < seen, "unit {u} shows generation {g} never issued");
+                    assert!(unit == tagged(u, g, UB), "unit {u} is torn");
+                }
+                reads_done.fetch_add(1, Ordering::AcqRel);
+                i += 2;
+            }
+        }));
+    }
+    drop(tx);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let reads_reach = |n: u64| {
+        while reads_done.load(Ordering::Acquire) < n {
+            assert!(Instant::now() < deadline, "readers stalled: deadlock");
+            std::thread::yield_now();
+        }
+    };
+    reads_reach(8);
+    store.fail_disk(4).unwrap();
+    reads_reach(reads_done.load(Ordering::Acquire) + 8);
+    stop.store(true, Ordering::Release);
+    for _ in 0..handles.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        rx.recv_timeout(left)
+            .expect("an I/O thread did not finish: deadlock");
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    store.replace_disk().unwrap();
+    store.rebuild(2).unwrap();
+    store.verify_parity().unwrap();
 }

@@ -325,3 +325,52 @@ fn post_rebuild_replay_is_byte_identical() {
     oracle.verify_parity().unwrap();
     store.close().unwrap();
 }
+
+/// Multi-unit block reads — whole-unit runs read one backend call per
+/// disk run, partial head and tail units staged — against the oracle,
+/// on a healthy array and again degraded, where the same spans are read
+/// one unit at a time.
+#[test]
+fn multi_unit_block_reads_with_partial_ends_are_byte_identical() {
+    let store = store("block-spans");
+    let mut oracle = oracle();
+    for logical in 0..store.data_units() {
+        let data = content(logical, 3_000_000);
+        store.write_unit(logical, &data).unwrap();
+        oracle.write(logical, &data);
+    }
+    let blocks = store.block_count();
+    // (first block, blocks): aligned, odd head, odd tail, both, the
+    // whole array, and spans holding exactly two whole units.
+    let spans = [
+        (0, 24),
+        (1, 24),
+        (6, 25),
+        (7, 40),
+        (0, blocks),
+        (1, blocks - 2),
+        (10, 4),
+        (11, 5),
+        (blocks - 31, 31),
+    ];
+    let bpu = (UNIT_BYTES / BLOCK_BYTES as usize) as u64;
+    let check = |oracle: &DataArray, label: &str| {
+        for &(block, n) in &spans {
+            let mut got = vec![0u8; (n * BLOCK_BYTES as u64) as usize];
+            store.read_blocks(block, &mut got).unwrap();
+            let units = block / bpu..(block + n).div_ceil(bpu);
+            let skip = (block % bpu * BLOCK_BYTES as u64) as usize;
+            let want: Vec<u8> = units
+                .flat_map(|u| oracle.read(u))
+                .skip(skip)
+                .take(got.len())
+                .collect();
+            assert!(got == want, "{label}: blocks [{block}, +{n}) diverged");
+        }
+    };
+    check(&oracle, "healthy");
+    store.fail_disk(1).unwrap();
+    oracle.fail_disk(1).unwrap();
+    check(&oracle, "degraded");
+    store.close().unwrap();
+}

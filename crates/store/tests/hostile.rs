@@ -367,3 +367,188 @@ fn limping_disk_trips_hedged_reads_that_still_return_right_bytes() {
     assert_eq!(after.media_errors, 0);
     store.close().unwrap();
 }
+
+/// The whole array in one `read_blocks` call.
+fn read_all(store: &BlockStore) -> Vec<u8> {
+    let mut buf = vec![0u8; store.data_units() as usize * store.unit_bytes()];
+    store.read_blocks(0, &mut buf).unwrap();
+    buf
+}
+
+/// Checks that `buf` holds the units from `first` on, as [`content`]
+/// made them with `tag`.
+fn assert_units(buf: &[u8], first: u64, unit_bytes: usize, tag: u64, label: &str) {
+    for (logical, unit) in (first..).zip(buf.chunks_exact(unit_bytes)) {
+        assert!(
+            unit == content(logical, tag, unit_bytes),
+            "{label}: unit {logical} diverged"
+        );
+    }
+}
+
+/// A logical unit strictly inside a run of adjacent offsets on one
+/// disk, among the runs a whole-array read is split into.
+fn mid_run_unit(store: &BlockStore) -> u64 {
+    let mut addrs: Vec<(u16, u64, u64)> = (0..store.data_units())
+        .map(|l| {
+            let a = store.mapping().logical_to_addr(l);
+            (a.disk, a.offset, l)
+        })
+        .collect();
+    addrs.sort_unstable();
+    addrs
+        .windows(3)
+        .find(|w| w[0].0 == w[2].0 && w[1].1 == w[0].1 + 1 && w[2].1 == w[1].1 + 1)
+        .map(|w| w[1].2)
+        .expect("no run of three adjacent units")
+}
+
+#[test]
+fn transient_eio_inside_runs_resolves_by_retrying_the_run() {
+    const UNITS: u64 = 32;
+    const UB: usize = 1024;
+    let (store, plans) = faulty_store("transient-runs", UNITS, UB, 0x7E58);
+    fill(&store, UB, 6);
+    for p in &plans {
+        p.set_transient_read_eio(0.05);
+    }
+    for pass in 0..20 {
+        assert_units(&read_all(&store), 0, UB, 6, &format!("pass {pass}"));
+    }
+    for p in &plans {
+        p.quiesce();
+    }
+    let injected: u64 = plans.iter().map(|p| p.injected().transient_eio).sum();
+    assert!(injected > 0, "campaign injected nothing; seed is useless");
+    let c = store.fault_counters();
+    assert_eq!(c.media_errors, injected, "{c:?}");
+    assert_eq!(c.retry_successes, injected, "{c:?}");
+    assert_eq!(c.checksum_errors, 0, "{c:?}");
+    assert_eq!(c.repaired, 0, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+#[test]
+fn persistent_bad_sector_inside_a_run_is_repaired_once() {
+    const UNITS: u64 = 32;
+    const UB: usize = 1024;
+    let (store, plans) = faulty_store("bad-sector-run", UNITS, UB, 0xBAD5);
+    fill(&store, UB, 7);
+    let victim = store.mapping().logical_to_addr(mid_run_unit(&store));
+    plans[victim.disk as usize].add_bad_sector(unit_pos(UNITS, victim.offset, UB));
+
+    assert_units(&read_all(&store), 0, UB, 7, "bad sector mid-run");
+    let c = store.fault_counters();
+    assert_eq!(c.media_errors, 1, "one detection for the run: {c:?}");
+    assert_eq!(c.repaired, 1, "{c:?}");
+    assert_eq!(c.retry_successes, 0, "{c:?}");
+    assert_eq!(c.checksum_errors, 0, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    assert_eq!(plans[victim.disk as usize].bad_sectors_outstanding(), 0);
+    // The repair rewrote the sector: a second pass is clean.
+    assert_units(&read_all(&store), 0, UB, 7, "after repair");
+    assert_eq!(store.fault_counters().media_errors, 1);
+
+    // Two bad sectors under one run: the run's detection goes to the
+    // first, the second is a detection of its own, both are repaired.
+    let next = decluster_core::layout::UnitAddr::new(victim.disk, victim.offset + 1);
+    for u in [victim, next] {
+        plans[u.disk as usize].add_bad_sector(unit_pos(UNITS, u.offset, UB));
+    }
+    assert_units(&read_all(&store), 0, UB, 7, "two bad sectors in a run");
+    let c = store.fault_counters();
+    assert_eq!(c.media_errors, 3, "{c:?}");
+    assert_eq!(c.repaired, 3, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+#[test]
+fn corruption_under_a_run_unit_is_read_repaired_once() {
+    const UNITS: u64 = 32;
+    const UB: usize = 1024;
+    let (store, plans) = faulty_store("corrupt-run", UNITS, UB, 0xC1);
+    fill(&store, UB, 8);
+    let logical = mid_run_unit(&store);
+    let addr = store.mapping().logical_to_addr(logical);
+    plans[addr.disk as usize].arm_corruption(unit_pos(UNITS, addr.offset, UB));
+    store.write_unit(logical, &content(logical, 8, UB)).unwrap();
+    assert_eq!(plans[addr.disk as usize].injected().corruptions, 1);
+
+    assert_units(&read_all(&store), 0, UB, 8, "corruption mid-run");
+    let c = store.fault_counters();
+    assert_eq!(c.checksum_errors, 1, "{c:?}");
+    assert_eq!(c.repaired, 1, "{c:?}");
+    assert_eq!(c.media_errors, 0, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+#[test]
+fn limping_disk_read_only_through_large_reads_is_flagged_and_hedged() {
+    const UNITS: u64 = 32;
+    const UB: usize = 1024;
+    let (store, plans) = faulty_store("limping-runs", UNITS, UB, 0x12);
+    fill(&store, UB, 9);
+    // Each run read on the limper is one 3 ms sample of its EWMA, not
+    // 3 ms spread over the run's units.
+    let limper: u16 = 3;
+    plans[limper as usize].set_read_latency(LatencyProfile::limping(3000, 500));
+    for pass in 0..20 {
+        if store.disk_limping(limper) {
+            break;
+        }
+        assert_units(&read_all(&store), 0, UB, 9, &format!("pass {pass}"));
+    }
+    assert!(
+        store.disk_limping(limper),
+        "large reads never flagged the limper"
+    );
+    assert!(store.disk_read_ewma_us(limper) > 1000.0);
+    let before = store.fault_counters();
+    assert_units(&read_all(&store), 0, UB, 9, "hedged pass");
+    let after = store.fault_counters();
+    assert!(
+        after.hedged_reads > before.hedged_reads,
+        "the limper's units never hedged"
+    );
+    assert_eq!(after.escalated, 0, "{after:?}");
+    assert_eq!(after.media_errors, 0, "{after:?}");
+    store.close().unwrap();
+}
+
+#[test]
+fn fault_free_large_reads_flag_no_disk() {
+    const UNITS: u64 = 64;
+    const UB: usize = 1024;
+    const SPAN: u64 = 192;
+    let (store, _plans) = faulty_store("quiet-runs", UNITS, UB, 0x13);
+    fill(&store, UB, 10);
+    let image: Vec<u8> = (0..store.data_units())
+        .flat_map(|l| content(l, 10, UB))
+        .collect();
+    let bpu = (UB / decluster_store::BLOCK_BYTES as usize) as u64;
+    let mut buf = vec![0u8; SPAN as usize * UB];
+    for i in 0..200 {
+        let first = i * 3 % (store.data_units() - SPAN + 1);
+        store.read_blocks(first * bpu, &mut buf).unwrap();
+        let at = first as usize * UB;
+        assert!(
+            buf == image[at..at + buf.len()],
+            "192-unit read at unit {first} diverged"
+        );
+    }
+    for d in 0..DISKS {
+        assert!(
+            !store.disk_limping(d),
+            "healthy disk {d} flagged as limping"
+        );
+    }
+    let c = store.fault_counters();
+    assert_eq!(c.hedged_reads, 0, "{c:?}");
+    store.close().unwrap();
+}

@@ -1,13 +1,16 @@
 //! Hot-path guarantees: the full-stripe fast path's I/O budget
 //! (exactly G writes, zero reads), its byte-equivalence to the
-//! unit-at-a-time RMW path, and byte-correctness under concurrent
-//! writers hammering overlapping stripes.
+//! unit-at-a-time RMW path, the multi-unit read's budget (one backend
+//! read per maximal per-disk run), and byte-correctness under
+//! concurrent writers hammering overlapping stripes.
 
 use decluster_array::data::DataArray;
 use decluster_core::design::BlockDesign;
 use decluster_core::layout::DeclusteredLayout;
-use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
+use decluster_store::{BlockStore, DiskBackend, FileBackend, LayoutSpec, BLOCK_BYTES};
+use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const UNITS_PER_DISK: u64 = 36;
@@ -216,6 +219,111 @@ fn concurrent_writers_match_oracle() {
     for u in 0..data_units {
         store.read_unit(u, &mut buf).unwrap();
         assert_eq!(buf, oracle.read(u), "unit {u} diverged after batch racing");
+    }
+    store.close().unwrap();
+}
+
+/// A file backend that counts its `read_at` calls.
+#[derive(Debug)]
+struct CountingBackend {
+    inner: FileBackend,
+    reads: Arc<AtomicU64>,
+}
+
+impl DiskBackend for CountingBackend {
+    fn read_at(&self, buf: &mut [u8], pos: u64) -> io::Result<()> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_at(buf, pos)
+    }
+
+    fn write_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+        self.inner.write_at(data, pos)
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// A healthy multi-unit read costs one backend read per maximal run of
+/// adjacent offsets on one disk, and still counts every unit it reads
+/// against that unit's disk.
+#[test]
+fn aligned_large_read_costs_one_backend_read_per_disk_run() {
+    const UB: usize = 512;
+    const UNITS: u64 = 192;
+    let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
+    let calls: Vec<Arc<AtomicU64>> = (0..spec.disks())
+        .map(|_| Arc::new(AtomicU64::new(0)))
+        .collect();
+    let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
+        Box::new(CountingBackend {
+            inner: FileBackend::new(file),
+            reads: Arc::clone(&calls[i as usize]),
+        })
+    };
+    let store = BlockStore::create_with_backend(
+        &fresh_dir("run-reads"),
+        spec,
+        16_800,
+        UB as u32,
+        0x5EAD,
+        &factory,
+    )
+    .unwrap();
+    let bpu = (UB / BLOCK_BYTES as usize) as u64;
+    for first in [0u64, 3 * UNITS] {
+        let data: Vec<u8> = (first..first + UNITS)
+            .flat_map(|u| content(u, 3).into_iter().take(UB))
+            .collect();
+        store.write_blocks(first * bpu, &data).unwrap();
+
+        // The runs, derived from the mapping alone.
+        let mut addrs: Vec<(u16, u64)> = (first..first + UNITS)
+            .map(|u| {
+                let a = store.mapping().logical_to_addr(u);
+                (a.disk, a.offset)
+            })
+            .collect();
+        addrs.sort_unstable();
+        let runs = 1 + addrs
+            .windows(2)
+            .filter(|w| w[1].0 != w[0].0 || w[1].1 != w[0].1 + 1)
+            .count() as u64;
+        assert!(
+            runs < UNITS / 4,
+            "{runs} runs: too few adjacent units to test coalescing"
+        );
+        let mut per_disk = vec![0u64; spec.disks() as usize];
+        for &(disk, _) in &addrs {
+            per_disk[disk as usize] += 1;
+        }
+
+        let calls_before: u64 = calls.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        let io_before = store.io_counters();
+        let mut back = vec![0u8; data.len()];
+        store.read_blocks(first * bpu, &mut back).unwrap();
+        assert!(
+            back == data,
+            "large read at unit {first} returned wrong bytes"
+        );
+        let calls_after: u64 = calls.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(
+            calls_after - calls_before,
+            runs,
+            "read_at calls at unit {first}"
+        );
+        for (d, (a, b)) in store.io_counters().iter().zip(&io_before).enumerate() {
+            assert_eq!(
+                a.reads - b.reads,
+                per_disk[d],
+                "disk {d} unit reads at unit {first}"
+            );
+        }
     }
     store.close().unwrap();
 }
