@@ -31,7 +31,7 @@ pub struct DiskStats {
     pub ewma_read_us: f64,
     /// Whether the limping detector currently flags this disk.
     pub limping: bool,
-    /// Whether this disk is the currently failed one.
+    /// Whether this disk is currently failed.
     pub failed: bool,
 }
 
@@ -54,7 +54,7 @@ pub struct StoreStats {
     pub block_count: u64,
     /// Whether a disk is currently failed and not fully rebuilt.
     pub degraded: bool,
-    /// The failed disk, if any.
+    /// The first failed disk, if any.
     pub failed_disk: Option<u16>,
     /// Array-wide fault-handling counters (detections, retries,
     /// checksum repairs, escalations, hedges, demotions).
@@ -67,7 +67,7 @@ impl StoreStats {
     /// Collects a snapshot from a live store. Cheap: atomic loads and
     /// one short state-lock acquisition, no I/O.
     pub fn collect(store: &BlockStore) -> StoreStats {
-        let failed = store.failed_disk();
+        let failed = store.failed_disks();
         let io = store.io_counters();
         let per_disk = (0..store.spec().disks())
             .map(|d| DiskStats {
@@ -77,7 +77,7 @@ impl StoreStats {
                 faults: store.disk_faults(d),
                 ewma_read_us: store.disk_read_ewma_us(d),
                 limping: store.disk_limping(d),
-                failed: failed == Some(d),
+                failed: failed.contains(&d),
             })
             .collect();
         StoreStats {
@@ -88,8 +88,8 @@ impl StoreStats {
             unit_bytes: store.unit_bytes() as u64,
             data_units: store.data_units(),
             block_count: store.block_count(),
-            degraded: failed.is_some(),
-            failed_disk: failed,
+            degraded: !failed.is_empty(),
+            failed_disk: failed.first().copied(),
             faults: store.fault_counters(),
             per_disk,
         }
@@ -243,6 +243,26 @@ mod tests {
         assert!(json.contains("\"per_disk\":[{\"disk\":0,\"reads\":11"));
         assert!(json.contains("\"ewma_read_us\":812.500"));
         assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
+    }
+
+    #[test]
+    fn every_failed_disk_is_flagged() {
+        let dir = crate::store::tests::fresh_dir("stats-two-down");
+        let spec = "pq:c10g5".parse().unwrap();
+        let store = BlockStore::create(&dir, spec, 40, 512, 5).unwrap();
+        store.fail_disk(2).unwrap();
+        store.fail_disk(7).unwrap();
+        let stats = store.stats_snapshot();
+        let flagged: Vec<u16> = stats
+            .per_disk
+            .iter()
+            .filter(|d| d.failed)
+            .map(|d| d.disk)
+            .collect();
+        assert_eq!(flagged, vec![2, 7]);
+        assert_eq!(stats.failed_disk, Some(2));
+        assert!(stats.degraded);
+        store.close().unwrap();
     }
 
     #[test]
