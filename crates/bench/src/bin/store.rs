@@ -237,9 +237,10 @@ fn rebuild(dir: &Path, mut args: impl Iterator<Item = String>) {
         .collect::<Vec<_>>()
         .join(", ");
     println!(
-        "rebuilt disk(s) {} in {:.2}s: {} units reconstructed, {} already valid, {} holes",
+        "rebuilt disk(s) {} in {:.2}s (sweep {:.2}s): {} units reconstructed, {} already valid, {} holes",
         failed,
         report.wall_secs,
+        report.sweep_secs,
         report.units_rebuilt,
         report.units_already_valid,
         report.units_unmapped

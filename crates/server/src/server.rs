@@ -508,7 +508,7 @@ fn rebuild_json(report: &RebuildReport) -> String {
         "{{\"failed_disk\":{},\"failed_disks\":{},\"units_rebuilt\":{},\
          \"units_already_valid\":{},\
          \"units_unmapped\":{},\"alpha\":{:.6},\"wall_secs\":{:.6},\
-         \"disk_reads\":{},\"disk_writes\":{},\"mapped_units_per_disk\":{}}}",
+         \"sweep_secs\":{:.6},\"disk_reads\":{},\"disk_writes\":{},\"mapped_units_per_disk\":{}}}",
         report.failed_disks.first().map_or(-1, |d| i64::from(*d)),
         failed(&report.failed_disks),
         report.units_rebuilt,
@@ -516,6 +516,7 @@ fn rebuild_json(report: &RebuildReport) -> String {
         report.units_unmapped,
         report.alpha,
         report.wall_secs,
+        report.sweep_secs,
         list(&report.disk_reads),
         list(&report.disk_writes),
         list(&report.mapped_units_per_disk),

@@ -23,6 +23,12 @@
 //!   tests exercise the EWMA against realistic spread and burstiness
 //!   instead of a magic number.
 //!
+//! Durability is explicit: a plain [`DiskBackend::write_at`] is durable
+//! only after a later [`DiskBackend::sync`], while
+//! [`DiskBackend::write_durable_at`] makes exactly the bytes it writes
+//! durable before it returns — the superblock write, which must not pay
+//! for writing back every page user I/O dirtied on the same file.
+//!
 //! Injections never touch bytes below [`FaultPlan::set_protect_below`]
 //! (the superblock and checksum region), and the plan counts every
 //! episode it creates so a torture harness can demand that the store
@@ -40,6 +46,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// All methods take `&self`; implementations must be safe to drive
 /// from many threads at once (the store's worker pools do).
+///
+/// Two durability levels: [`write_at`](DiskBackend::write_at) lands in
+/// a volatile cache until the next [`sync`](DiskBackend::sync) of the
+/// whole file; [`write_durable_at`](DiskBackend::write_durable_at) is
+/// durable on return but promises nothing about any other byte.
 pub trait DiskBackend: Send + Sync + std::fmt::Debug {
     /// Fills `buf` from byte position `pos`.
     ///
@@ -68,6 +79,23 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
     ///
     /// Any `io::Error`.
     fn sync(&self) -> io::Result<()>;
+
+    /// Writes all of `data` at byte position `pos` and makes those
+    /// bytes durable before returning. Other unsynced writes to the
+    /// file may stay volatile: a caller that needs them durable first
+    /// calls [`sync`](DiskBackend::sync) itself.
+    ///
+    /// The default is [`write_at`](DiskBackend::write_at) then
+    /// [`sync`](DiskBackend::sync), which is correct for any backend and
+    /// stronger than required.
+    ///
+    /// # Errors
+    ///
+    /// Any `io::Error`.
+    fn write_durable_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+        self.write_at(data, pos)?;
+        self.sync()
+    }
 }
 
 /// The production backend: positional I/O straight onto a file.
@@ -153,6 +181,43 @@ impl DiskBackend for FileBackend {
 
     fn sync(&self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    /// One `pwritev2(…, RWF_DSYNC)` per submission: the kernel writes
+    /// back only the written range, not every page dirtied on the file.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[allow(unsafe_code)]
+    fn write_durable_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+        use std::io::IoSlice;
+        use std::os::fd::AsRawFd;
+        const RWF_DSYNC: i32 = 0x2;
+        // `ssize_t pwritev2(int, const struct iovec *, int, off_t, int)`;
+        // `off_t` is 64 bits on every target this override compiles for.
+        extern "C" {
+            fn pwritev2(
+                fd: i32,
+                iov: *const IoSlice<'_>,
+                iovcnt: i32,
+                off: i64,
+                flags: i32,
+            ) -> isize;
+        }
+        let fd = self.file.as_raw_fd();
+        write_full_at(
+            |d, p| {
+                let iov = [IoSlice::new(d)];
+                let off = i64::try_from(p)
+                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "offset past i64"))?;
+                // SAFETY: `IoSlice` is ABI-compatible with `struct iovec`
+                // on unix; `iov` is one valid entry borrowing `d` for the
+                // duration of the call, and `fd` stays open while `self`
+                // owns the file.
+                let n = unsafe { pwritev2(fd, iov.as_ptr(), 1, off, RWF_DSYNC) };
+                usize::try_from(n).map_err(|_| io::Error::last_os_error())
+            },
+            data,
+            pos,
+        )
     }
 }
 
@@ -500,6 +565,25 @@ impl FaultyBackend {
     pub fn new(inner: Box<dyn DiskBackend>, plan: Arc<FaultPlan>) -> FaultyBackend {
         FaultyBackend { inner, plan }
     }
+
+    /// Issues one write through `write`, after the plan decided what,
+    /// if anything, happens to its payload.
+    fn write_with(
+        &self,
+        data: &[u8],
+        pos: u64,
+        write: impl FnOnce(&[u8], u64) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match self.plan.on_write(pos, data.len()) {
+            WriteFault::None => write(data, pos),
+            WriteFault::Corrupt(at) => {
+                let mut mangled = data.to_vec();
+                mangled[at] ^= 0x40;
+                write(&mangled, pos)
+            }
+            WriteFault::Torn(keep) => write(&data[..keep], pos),
+        }
+    }
 }
 
 impl DiskBackend for FaultyBackend {
@@ -511,15 +595,7 @@ impl DiskBackend for FaultyBackend {
     }
 
     fn write_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
-        match self.plan.on_write(pos, data.len()) {
-            WriteFault::None => self.inner.write_at(data, pos),
-            WriteFault::Corrupt(at) => {
-                let mut mangled = data.to_vec();
-                mangled[at] ^= 0x40;
-                self.inner.write_at(&mangled, pos)
-            }
-            WriteFault::Torn(keep) => self.inner.write_at(&data[..keep], pos),
-        }
+        self.write_with(data, pos, |d, p| self.inner.write_at(d, p))
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -529,6 +605,10 @@ impl DiskBackend for FaultyBackend {
 
     fn sync(&self) -> io::Result<()> {
         self.inner.sync()
+    }
+
+    fn write_durable_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+        self.write_with(data, pos, |d, p| self.inner.write_durable_at(d, p))
     }
 }
 
@@ -763,6 +843,37 @@ mod tests {
         // Healthy profile is silent.
         assert!(LatencyProfile::healthy().is_quiet());
         assert_eq!(LatencyProfile::default().mean_us(), 0.0);
+    }
+
+    #[test]
+    fn file_backend_durable_write_lands_at_its_offset_and_fails_loudly() {
+        let dir = crate::store::tests::fresh_dir("durable-write");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("disk.dat");
+        let disk = FileBackend::new(crate::store::DiskFile::open_file(&path, true).unwrap());
+        disk.write_at(&[1u8; 8192], 0).unwrap();
+        disk.write_durable_at(&[2u8; 100], 4000).unwrap();
+        let mut back = [0u8; 8192];
+        disk.read_at(&mut back, 0).unwrap();
+        assert!(back[..4000].iter().all(|&b| b == 1));
+        assert!(back[4000..4100].iter().all(|&b| b == 2));
+        assert!(back[4100..].iter().all(|&b| b == 1));
+        // A read-only handle refuses the write: an error, not a fallback.
+        let read_only = FileBackend::new(File::open(&path).unwrap());
+        assert!(read_only.write_durable_at(&[3u8; 16], 0).is_err());
+    }
+
+    #[test]
+    fn faulty_backend_injects_into_durable_writes() {
+        let (disk, plan) = faulty(13);
+        disk.write_at(&[0u8; 64], 0).unwrap();
+        plan.arm_torn_write(0);
+        disk.write_durable_at(&[0xCCu8; 64], 0).unwrap();
+        let mut buf = [0u8; 64];
+        disk.read_at(&mut buf, 0).unwrap();
+        assert!(buf[..32].iter().all(|&b| b == 0xCC), "prefix landed");
+        assert!(buf[32..].iter().all(|&b| b == 0), "tail did not");
+        assert_eq!(plan.injected().torn_writes, 1);
     }
 
     #[test]

@@ -116,8 +116,9 @@ impl BlockStore {
             intent,
             Vec::new(),
         )?;
-        // The superblock write syncs each disk, its checksum region with it.
-        store.persist_all_sums()?;
+        // The checksum regions are durable before the superblocks that
+        // vouch for them: a superblock write syncs only itself.
+        store.flush()?;
         store.write_superblocks(false)?;
         Ok(store)
     }
@@ -375,6 +376,17 @@ impl BlockStore {
         Ok(())
     }
 
+    /// Syncs every live disk's backing file. Failed disks without a
+    /// replacement are skipped, as every write to them is: their media
+    /// are gone.
+    pub(crate) fn sync_live_disks(&self) -> Result<()> {
+        let skip = lock(&self.state).unreplaced();
+        for d in self.disks.iter().filter(|d| !skip.contains(&d.index)) {
+            d.sync()?;
+        }
+        Ok(())
+    }
+
     /// Flushes dirty state — checksum tables and backing files — while
     /// keeping the store open, unlike [`BlockStore::close`]. The
     /// superblocks stay marked not-clean, so a crash after `flush`
@@ -386,15 +398,15 @@ impl BlockStore {
     /// Returns the first checksum persist or file sync that fails.
     pub fn flush(&self) -> Result<()> {
         self.persist_all_sums()?;
-        for d in &self.disks {
-            d.sync()?;
-        }
-        Ok(())
+        self.sync_live_disks()
     }
 
     /// Rewrites every live superblock with the current fault state and
     /// the given `clean` flag. The failed disk is skipped until a
-    /// replacement is installed (its medium is gone).
+    /// replacement is installed (its medium is gone). Each write makes
+    /// its superblock durable and nothing else: a caller whose state
+    /// change also needs data or checksum regions durable syncs them
+    /// first.
     pub(crate) fn write_superblocks(&self, clean: bool) -> Result<()> {
         let (encoded, skip) = {
             let st = lock(&self.state);
@@ -506,5 +518,99 @@ mod tests {
         store.write_unit(5, &[0xC3; 512]).unwrap();
         store.close().unwrap();
         assert_eq!(violations.load(Ordering::SeqCst), 0, "close");
+    }
+
+    /// A file backend that tracks, for every disk, whether a write into
+    /// its checksum region (`[SUPERBLOCK_BYTES, data_start)`) is still
+    /// unsynced, and counts each superblock write that lands while any
+    /// disk has one pending. A superblock write makes only itself
+    /// durable, so a region the superblock vouches for must already be.
+    #[derive(Debug)]
+    struct RegionOrderCheck {
+        inner: FileBackend,
+        disk: usize,
+        data_start: u64,
+        pending: Arc<Mutex<Vec<bool>>>,
+        region_writes: Arc<AtomicU64>,
+        violations: Arc<AtomicU64>,
+    }
+
+    impl DiskBackend for RegionOrderCheck {
+        fn read_at(&self, buf: &mut [u8], pos: u64) -> io::Result<()> {
+            self.inner.read_at(buf, pos)
+        }
+
+        fn write_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+            if pos < self.data_start && pos + data.len() as u64 > SUPERBLOCK_BYTES {
+                self.region_writes.fetch_add(1, Ordering::SeqCst);
+                lock(&self.pending)[self.disk] = true;
+            }
+            self.inner.write_at(data, pos)
+        }
+
+        fn set_len(&self, len: u64) -> io::Result<()> {
+            self.inner.set_len(len)
+        }
+
+        fn sync(&self) -> io::Result<()> {
+            lock(&self.pending)[self.disk] = false;
+            self.inner.sync()
+        }
+
+        fn write_durable_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+            if pos == 0 && lock(&self.pending).iter().any(|&p| p) {
+                self.violations.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.write_durable_at(data, pos)
+        }
+    }
+
+    #[test]
+    fn checksum_regions_are_durable_before_any_superblock() {
+        const UNITS: u64 = 32;
+        let dir = fresh_dir("region-order");
+        let spec = LayoutSpec::Complete { disks: 5, group: 4 };
+        let pending = Arc::new(Mutex::new(vec![false; spec.disks() as usize]));
+        let region_writes = Arc::new(AtomicU64::new(0));
+        let violations = Arc::new(AtomicU64::new(0));
+        let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
+            Box::new(RegionOrderCheck {
+                inner: FileBackend::new(file),
+                disk: i as usize,
+                data_start: SUPERBLOCK_BYTES + region_bytes(UNITS),
+                pending: Arc::clone(&pending),
+                region_writes: Arc::clone(&region_writes),
+                violations: Arc::clone(&violations),
+            })
+        };
+        let check = |step: &str| {
+            assert!(
+                region_writes.load(Ordering::SeqCst) > 0,
+                "{step}: no region written"
+            );
+            assert_eq!(violations.load(Ordering::SeqCst), 0, "{step}");
+        };
+        let store = BlockStore::create_with_backend(&dir, spec, UNITS, 512, 23, &factory).unwrap();
+        check("create");
+        let unit = |l: u64, g: u8| vec![(l as u8) ^ g; 512];
+        for l in 0..store.data_units() {
+            store.write_unit(l, &unit(l, 1)).unwrap();
+        }
+        store.fail_disk(2).unwrap();
+        store.replace_disk().unwrap();
+        check("replace_disk");
+        for l in 0..store.data_units() {
+            store.write_unit(l, &unit(l, 2)).unwrap();
+        }
+        // The replacement's formatted region is still unsynced here: the
+        // rebuild must sync it before the healthy superblocks.
+        assert!(
+            lock(&pending)[2],
+            "replace_disk left no region write to order"
+        );
+        store.rebuild(1).unwrap();
+        check("rebuild");
+        store.close().unwrap();
+        check("close");
     }
 }

@@ -32,8 +32,12 @@ pub struct RebuildReport {
     /// The layout's declustering ratio α = (G−1)/(C−1): the predicted
     /// fraction of each surviving disk read by the rebuild.
     pub alpha: f64,
-    /// Wall-clock time of the rebuild.
+    /// Wall-clock time of the rebuild: the sweep plus the completion
+    /// (the rebuilt disks' syncs and the superblock writes).
     pub wall_secs: f64,
+    /// Wall-clock time of the sweep alone; `wall_secs − sweep_secs` is
+    /// the completion.
+    pub sweep_secs: f64,
 }
 
 impl RebuildReport {
@@ -87,6 +91,11 @@ impl BlockStore {
             self.degraded.store(true, Ordering::Release);
         }
         self.health.note_demotion();
+        // Last chance to make pre-failure writes durable with full
+        // redundancy: recovery leaves a stripe with a failed member
+        // alone, so a torn write there would become a degraded write
+        // hole.
+        self.sync_live_disks()?;
         self.write_superblocks(false)?;
         Ok(Some(disk))
     }
@@ -134,6 +143,9 @@ impl BlockStore {
             pos += n as u64;
         }
         d.sync()?;
+        // As for a demotion: pre-failure writes become durable while
+        // every stripe still has its full redundancy.
+        self.sync_live_disks()?;
         self.write_superblocks(false)
     }
 
@@ -227,6 +239,7 @@ impl BlockStore {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
+        let sweep_secs = start.elapsed().as_secs_f64();
         let mut totals = RebuildChunk::default();
         for chunk in chunks {
             let chunk = chunk?;
@@ -240,9 +253,13 @@ impl BlockStore {
             st.failed.clear();
             self.degraded.store(false, Ordering::Release);
         }
-        // Persist the rebuilt disks' checksum regions before declaring
-        // the array fault-free: a crash between the two must not leave
-        // a replacement's on-disk slots at their formatted state.
+        // Persist the rebuilt disks' checksum regions and data before
+        // declaring the array fault-free: a crash between the two must
+        // not leave a replacement's on-disk slots at their formatted
+        // state. The survivors are not synced: every stripe is now
+        // fault-free, and each unflushed user write on them is covered
+        // by an intent bit made durable before it, so a crash resyncs
+        // it with full redundancy.
         for &f in &failed {
             self.disks[f as usize].persist_sums()?;
             self.disks[f as usize].sync()?;
@@ -253,6 +270,7 @@ impl BlockStore {
         self.health.reset_disk_faults();
         let _ = self.health.take_pending_demotion();
         let after = self.io_counters();
+        let wall_secs = start.elapsed().as_secs_f64();
         Ok(RebuildReport {
             failed_disks: failed,
             units_rebuilt: totals.rebuilt,
@@ -270,7 +288,8 @@ impl BlockStore {
                 .collect(),
             mapped_units_per_disk: self.mapped_units_per_disk(),
             alpha: self.spec.alpha(),
-            wall_secs: start.elapsed().as_secs_f64(),
+            wall_secs,
+            sweep_secs,
         })
     }
 

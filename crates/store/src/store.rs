@@ -171,10 +171,11 @@ impl DiskFile {
             .map_err(|e| StoreError::io("write checksum region", &self.path, e))
     }
 
+    /// Writes `sb` and makes it durable — it alone: a caller that needs
+    /// other bytes of this file durable first syncs them itself.
     pub(crate) fn write_superblock(&self, sb: &Superblock) -> Result<()> {
         self.backend
-            .write_at(&sb.encode(), 0)
-            .and_then(|()| self.backend.sync())
+            .write_durable_at(&sb.encode(), 0)
             .map_err(|e| StoreError::io("write superblock", &self.path, e))
     }
 
@@ -657,6 +658,8 @@ pub(crate) mod tests {
         let report = store.rebuild(2).unwrap();
         assert_eq!(report.failed_disks, vec![2]);
         assert!(report.units_rebuilt > 0);
+        assert!(report.sweep_secs > 0.0, "{report:?}");
+        assert!(report.sweep_secs <= report.wall_secs, "{report:?}");
         assert_eq!(store.failed_disk(), None);
         store.verify_parity().unwrap();
         for l in 0..store.data_units() {

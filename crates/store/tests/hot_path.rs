@@ -1,7 +1,8 @@
 //! Hot-path guarantees: the full-stripe fast path's I/O budget
 //! (exactly G writes, zero reads), its byte-equivalence to the
 //! unit-at-a-time RMW path, the multi-unit read's budget (one backend
-//! read per maximal per-disk run), and byte-correctness under
+//! read per maximal per-disk run), the exact syncs and durable writes
+//! of `fail_disk` and of a loaded rebuild, and byte-correctness under
 //! concurrent writers hammering overlapping stripes.
 
 use decluster_array::data::DataArray;
@@ -10,8 +11,8 @@ use decluster_core::layout::DeclusteredLayout;
 use decluster_store::{BlockStore, DiskBackend, FileBackend, LayoutSpec, BLOCK_BYTES};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 const UNITS_PER_DISK: u64 = 36;
 const UNIT_BYTES: usize = 1024;
@@ -223,11 +224,24 @@ fn concurrent_writers_match_oracle() {
     store.close().unwrap();
 }
 
-/// A file backend that counts its `read_at` calls.
+/// A durability call one disk's backend received.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Durable {
+    /// A whole-file `sync`.
+    Sync(u16),
+    /// A `write_durable_at`, which makes only its own bytes durable.
+    Write(u16),
+}
+
+/// A file backend that counts its `read_at` calls and logs every
+/// durability call into one sequence shared by all disks, so a test can
+/// count them per disk and check their order across disks.
 #[derive(Debug)]
 struct CountingBackend {
     inner: FileBackend,
+    disk: u16,
     reads: Arc<AtomicU64>,
+    durable: Arc<Mutex<Vec<Durable>>>,
 }
 
 impl DiskBackend for CountingBackend {
@@ -245,7 +259,44 @@ impl DiskBackend for CountingBackend {
     }
 
     fn sync(&self) -> io::Result<()> {
+        self.durable.lock().unwrap().push(Durable::Sync(self.disk));
         self.inner.sync()
+    }
+
+    fn write_durable_at(&self, data: &[u8], pos: u64) -> io::Result<()> {
+        self.durable.lock().unwrap().push(Durable::Write(self.disk));
+        self.inner.write_durable_at(data, pos)
+    }
+}
+
+/// Per-disk backend call counters, and the shared durability log.
+struct Counted {
+    reads: Vec<Arc<AtomicU64>>,
+    durable: Arc<Mutex<Vec<Durable>>>,
+}
+
+impl Counted {
+    fn new(disks: u16) -> Counted {
+        Counted {
+            reads: (0..disks).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            durable: Arc::new(Mutex::new(Vec::new())),
+        }
+    }
+
+    fn factory(&self) -> impl Fn(u16, std::fs::File) -> Box<dyn DiskBackend> + Sync + '_ {
+        |i, file| {
+            Box::new(CountingBackend {
+                inner: FileBackend::new(file),
+                disk: i,
+                reads: Arc::clone(&self.reads[i as usize]),
+                durable: Arc::clone(&self.durable),
+            })
+        }
+    }
+
+    /// Empties the durability log, returning what it held.
+    fn take_durable(&self) -> Vec<Durable> {
+        std::mem::take(&mut *self.durable.lock().unwrap())
     }
 }
 
@@ -257,22 +308,15 @@ fn aligned_large_read_costs_one_backend_read_per_disk_run() {
     const UB: usize = 512;
     const UNITS: u64 = 192;
     let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
-    let calls: Vec<Arc<AtomicU64>> = (0..spec.disks())
-        .map(|_| Arc::new(AtomicU64::new(0)))
-        .collect();
-    let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
-        Box::new(CountingBackend {
-            inner: FileBackend::new(file),
-            reads: Arc::clone(&calls[i as usize]),
-        })
-    };
+    let counted = Counted::new(spec.disks());
+    let calls = &counted.reads;
     let store = BlockStore::create_with_backend(
         &fresh_dir("run-reads"),
         spec,
         16_800,
         UB as u32,
         0x5EAD,
-        &factory,
+        &counted.factory(),
     )
     .unwrap();
     let bpu = (UB / BLOCK_BYTES as usize) as u64;
@@ -325,5 +369,98 @@ fn aligned_large_read_costs_one_backend_read_per_disk_run() {
             );
         }
     }
+    store.close().unwrap();
+}
+
+/// How often `disk` appears in `log` as a sync and as a durable write.
+fn durable_counts(log: &[Durable], disk: u16) -> (usize, usize) {
+    let syncs = log.iter().filter(|&&e| e == Durable::Sync(disk)).count();
+    let writes = log.iter().filter(|&&e| e == Durable::Write(disk)).count();
+    (syncs, writes)
+}
+
+/// Each admin transition pays exactly the durability it needs.
+/// `fail_disk` syncs every disk once — the last moment pre-failure
+/// writes can be made durable with full redundancy — before the
+/// superblocks. A finished rebuild syncs only the replacement, before
+/// any superblock names the array fault-free, and gives each survivor
+/// one durable superblock write and no sync, however much a concurrent
+/// writer dirtied it.
+#[test]
+fn admin_transitions_sync_exactly_what_they_rely_on() {
+    const UB: usize = 512;
+    const FAILED: u16 = 3;
+    let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
+    let counted = Counted::new(spec.disks());
+    let store = BlockStore::create_with_backend(
+        &fresh_dir("durable-counts"),
+        spec,
+        336,
+        UB as u32,
+        0xD5,
+        &counted.factory(),
+    )
+    .unwrap();
+    let data_units = store.data_units();
+    let unit = |u: u64, g: u64| content(u, g).into_iter().take(UB).collect::<Vec<u8>>();
+    for u in 0..data_units {
+        store.write_unit(u, &unit(u, 0)).unwrap();
+    }
+    counted.take_durable();
+
+    store.fail_disk(FAILED).unwrap();
+    let log = counted.take_durable();
+    for d in 0..spec.disks() {
+        let expect_writes = usize::from(d != FAILED);
+        assert_eq!(
+            durable_counts(&log, d),
+            (1, expect_writes),
+            "fail_disk: disk {d} (syncs, durable writes)"
+        );
+    }
+    let first_write = log.iter().position(|e| matches!(e, Durable::Write(_)));
+    let last_sync = log.iter().rposition(|e| matches!(e, Durable::Sync(_)));
+    assert!(
+        last_sync < first_write,
+        "fail_disk synced after a superblock"
+    );
+
+    store.replace_disk().unwrap();
+    counted.take_durable();
+    let stop = AtomicBool::new(false);
+    let written = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut n = 0u64;
+            while !stop.load(Ordering::Acquire) || n < 64 {
+                let u = n * 7 % data_units;
+                store.write_unit(u, &unit(u, 1 + n)).unwrap();
+                n += 1;
+            }
+            n
+        });
+        let report = store.rebuild(1).unwrap();
+        stop.store(true, Ordering::Release);
+        assert_eq!(report.failed_disks, vec![FAILED]);
+        writer.join().unwrap()
+    });
+    assert!(written >= 64);
+    let log = counted.take_durable();
+    for d in (0..spec.disks()).filter(|&d| d != FAILED) {
+        assert_eq!(
+            durable_counts(&log, d),
+            (0, 1),
+            "rebuild: survivor {d} (syncs, durable writes)"
+        );
+    }
+    assert_eq!(durable_counts(&log, FAILED), (1, 1), "rebuild: replacement");
+    let sync = log.iter().position(|&e| e == Durable::Sync(FAILED));
+    let first_healthy = log
+        .iter()
+        .position(|&e| matches!(e, Durable::Write(d) if d != FAILED));
+    assert!(
+        sync < first_healthy,
+        "the replacement must be durable before a superblock declares it whole: {log:?}"
+    );
+    store.verify_parity().unwrap();
     store.close().unwrap();
 }
