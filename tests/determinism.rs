@@ -1,7 +1,10 @@
 //! Reproducibility: a simulation is a pure function of configuration and
 //! seed, and seeds actually matter.
 
-use decluster::array::{ArrayConfig, ArraySim, ReconAlgorithm, ReconOptions};
+use decluster::array::{
+    ArrayConfig, ArraySim, CrashPlan, ReconAlgorithm, ReconOptions, ScrubConfig,
+};
+use decluster::disk::MediaFaultConfig;
 use decluster::experiments::paper_layout;
 use decluster::sim::SimTime;
 use decluster::workload::WorkloadSpec;
@@ -96,4 +99,71 @@ fn results_are_stable_across_seeds_in_aggregate() {
         max / min < 1.25,
         "seed-to-seed spread too wide: {samples:?}"
     );
+}
+
+/// Pins the simulator's exact results, so a refactor of the event loop or
+/// the op bookkeeping that changes any decision shows up as a changed
+/// number here, not only as a run-to-run difference. The constants were
+/// recorded before the simulator was split into `sim/{faults,recon,scrub}`
+/// and must not move unless a change means to alter simulated behaviour.
+#[test]
+fn simulator_results_are_pinned() {
+    let recon = |algorithm| {
+        let mut s = ArraySim::new(
+            paper_layout(4).unwrap(),
+            cfg(),
+            WorkloadSpec::half_and_half(60.0),
+            7,
+        )
+        .unwrap();
+        s.fail_disk(5).expect("disk is healthy and in range");
+        s.start_reconstruction(ReconOptions::new(algorithm).processes(4))
+            .expect("a disk failed and processes > 0");
+        let r = s.run_until_reconstructed(SimTime::from_secs(50_000));
+        (
+            r.events_processed,
+            r.reconstruction_time.map(SimTime::as_us),
+            r.units_swept,
+            r.units_by_users,
+        )
+    };
+    // (events, reconstruction µs, swept, by users), in `ReconAlgorithm::ALL`
+    // order: Baseline, UserWrites, Redirect, RedirectPiggyback.
+    let expected = [
+        (15434, Some(25_322_325), 2520, 0),
+        (15351, Some(25_282_942), 2495, 25),
+        (15378, Some(25_602_642), 2495, 25),
+        (15444, Some(26_242_042), 2475, 45),
+    ];
+    for (&algorithm, want) in ReconAlgorithm::ALL.iter().zip(expected) {
+        assert_eq!(recon(algorithm), want, "{algorithm:?}");
+    }
+
+    // A power cut mid-rebuild with the patrol scrubber on and latent
+    // defects seeded: the cut classifies user, sweep, piggyback and scrub
+    // ops in flight.
+    let cfg = ArrayConfig::builder()
+        .cylinders(30)
+        .media_faults(MediaFaultConfig::none().with_latent_rate(2e-4))
+        .scrub(ScrubConfig::on().with_interval_us(500))
+        .build();
+    let mut s = ArraySim::new(
+        paper_layout(4).unwrap(),
+        cfg,
+        WorkloadSpec::half_and_half(60.0),
+        7,
+    )
+    .unwrap();
+    s.fail_disk(5).unwrap();
+    s.inject_crash(&CrashPlan::at(SimTime::from_secs(7)))
+        .unwrap();
+    s.start_reconstruction(ReconOptions::new(ReconAlgorithm::RedirectPiggyback).processes(4))
+        .unwrap();
+    let report = s.run_until_reconstructed(SimTime::from_secs(50_000));
+    let crash = report.crash.expect("planned crash must fire");
+    assert_eq!(
+        (crash.torn_stripes.len(), crash.dirty_stripes.len()),
+        (2, 7)
+    );
+    assert_eq!(report.scrub.expect("scrub on").stripes_scanned, 29);
 }
