@@ -25,6 +25,19 @@
 //! buffers with XOR parity so reconstruction correctness is tested
 //! independently of timing.
 //!
+//! # Where the simulator lives
+//!
+//! [`sim`] holds [`ArraySim`]'s event loop and the user op path: arrival,
+//! planning through [`plan`] and [`extent`], issue and completion. Three
+//! private submodules hold the rest of its `impl`:
+//!
+//! * `sim/faults.rs` — [`FaultPlan`] and [`CrashPlan`], mid-run disk
+//!   failures and the retry of the ops they abort, unreadable sectors,
+//!   and the power cut's torn/dirty stripe classification;
+//! * `sim/recon.rs` — [`ReconOptions`], arming a rebuild, the sweep
+//!   cycle, piggyback writes and the rebuilt-offset accounting;
+//! * `sim/scrub.rs` — the patrol-read scrubber.
+//!
 //! # Examples
 //!
 //! ```
