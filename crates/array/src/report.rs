@@ -204,13 +204,6 @@ pub struct CrashReport {
     pub failed_disk: Option<u16>,
 }
 
-impl CrashReport {
-    /// Whether the crash left any stripe inconsistent.
-    pub fn is_clean(&self) -> bool {
-        self.torn_stripes.is_empty()
-    }
-}
-
 /// How restart recovery decides which stripes to verify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RecoveryPolicy {

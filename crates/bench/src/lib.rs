@@ -112,16 +112,6 @@ pub fn cli_from_args() -> BenchCli {
     cli
 }
 
-/// Parses the common CLI flags into an [`ExperimentScale`] (ignores
-/// `--threads`; binaries that fan out use [`cli_from_args`]).
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed arguments.
-pub fn scale_from_args() -> ExperimentScale {
-    cli_from_args().scale
-}
-
 fn usage(problem: &str) -> ! {
     if !problem.is_empty() {
         eprintln!("error: {problem}");

@@ -186,11 +186,6 @@ impl BlockDesign {
         self.v
     }
 
-    /// Tuple size `k`.
-    pub fn tuple_size(&self) -> u16 {
-        self.k
-    }
-
     /// The verified parameters `(b, v, k, r, λ)`.
     pub fn params(&self) -> DesignParams {
         self.params

@@ -238,11 +238,6 @@ impl Disk {
         self.faults = Some(faults);
     }
 
-    /// The installed fault process, if any.
-    pub fn fault_model(&self) -> Option<&MediaFaultModel> {
-        self.faults.as_ref()
-    }
-
     /// Remaps (heals) every defective sector in the range — the array's
     /// scrub-on-error recovery: after reconstructing the lost data from
     /// redundancy it rewrites the unit, reallocating the bad sector.

@@ -25,7 +25,7 @@
 //! frame is malformed and the connection is dropped (nothing after the
 //! length can be trusted).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard upper bound on one frame's payload, requests and responses
 /// alike. Large enough for a full-stripe write on any sane geometry,
@@ -362,12 +362,6 @@ pub fn read_response(stream: &mut impl Read) -> io::Result<(ResponseHeader, Vec<
     let mut body = vec![0u8; len - RESPONSE_HEADER_BYTES];
     stream.read_exact(&mut body)?;
     Ok((header, body))
-}
-
-/// Writes one pre-encoded frame (from [`encode_request`] /
-/// [`encode_response`]) to `stream`.
-pub fn write_frame(stream: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(frame)
 }
 
 #[cfg(test)]

@@ -143,12 +143,6 @@ impl LatencyHistogram {
         self.max_us
     }
 
-    /// [`quantile_us`](Self::quantile_us) converted to milliseconds.
-    #[must_use]
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.quantile_us(q) as f64 / 1_000.0
-    }
-
     /// Folds `other` into `self`. Exactly associative and commutative.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {

@@ -150,11 +150,6 @@ impl ResponseStats {
         self.moments.mean()
     }
 
-    /// Standard deviation in milliseconds.
-    pub fn std_dev_ms(&self) -> f64 {
-        self.moments.std_dev()
-    }
-
     /// Maximum response time in milliseconds.
     pub fn max_ms(&self) -> f64 {
         self.moments.max()

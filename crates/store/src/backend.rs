@@ -227,7 +227,7 @@ impl DiskBackend for FileBackend {
 pub struct InjectedFaults {
     /// Transient `EIO` episodes minted (each fails exactly one read).
     pub transient_eio: u64,
-    /// Persistent bad sectors minted (failing until rewritten).
+    /// Persistent bad sectors added (failing until rewritten).
     pub persistent_eio: u64,
     /// Writes whose payload was silently bit-flipped.
     pub corruptions: u64,
@@ -308,8 +308,6 @@ struct PlanState {
     latency: LatencyProfile,
     /// Probability a data-region read mints a transient EIO episode.
     transient_read_eio: f64,
-    /// Probability a data-region read mints a persistent bad sector.
-    persistent_read_eio: f64,
     /// Byte positions whose reads fail until a write covers them.
     bad_sectors: HashSet<u64>,
     /// Positions that just failed transiently: the next few reads pass
@@ -411,11 +409,6 @@ impl FaultPlan {
         lock(&self.state).transient_read_eio = p;
     }
 
-    /// Sets the per-read probability of minting a persistent bad sector.
-    pub fn set_persistent_read_eio(&self, p: f64) {
-        lock(&self.state).persistent_read_eio = p;
-    }
-
     /// Sets the injected read-latency distribution
     /// ([`LatencyProfile::healthy`] stops injecting).
     pub fn set_read_latency(&self, profile: LatencyProfile) {
@@ -443,12 +436,11 @@ impl FaultPlan {
     }
 
     /// Stops all probabilistic injection and drops armed faults and
-    /// latency; already-minted persistent bad sectors remain until
+    /// latency; persistent bad sectors already added remain until
     /// rewritten.
     pub fn quiesce(&self) {
         let mut st = lock(&self.state);
         st.transient_read_eio = 0.0;
-        st.persistent_read_eio = 0.0;
         st.armed_corruptions.clear();
         st.armed_torn.clear();
         st.latency = LatencyProfile::healthy();
@@ -464,7 +456,7 @@ impl FaultPlan {
         }
     }
 
-    /// Persistent bad sectors minted and not yet rewritten.
+    /// Persistent bad sectors added and not yet rewritten.
     pub fn bad_sectors_outstanding(&self) -> usize {
         lock(&self.state).bad_sectors.len()
     }
@@ -492,13 +484,6 @@ impl FaultPlan {
                 st.transient_grace.remove(&pos);
             }
             return None;
-        }
-        let persistent_rate = st.persistent_read_eio;
-        if st.chance(persistent_rate) {
-            st.bad_sectors.insert(pos);
-            drop(st);
-            self.persistent_eio.fetch_add(1, Ordering::Relaxed);
-            return Some(eio("injected persistent media error"));
         }
         let transient_rate = st.transient_read_eio;
         if st.chance(transient_rate) {
