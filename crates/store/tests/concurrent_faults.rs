@@ -9,6 +9,9 @@
 //! operator failing a disk mid-traffic must flip I/O onto the
 //! degraded/rebuild paths without corrupting a single unit.
 
+mod common;
+
+use common::content;
 use decluster_array::data::DataArray;
 use decluster_array::RecoveryPolicy;
 use decluster_core::design::BlockDesign;
@@ -59,18 +62,6 @@ fn oracle() -> DataArray {
     DataArray::new(layout, UNITS_PER_DISK, UNIT_BYTES).unwrap()
 }
 
-fn content(logical: u64, generation: u64) -> Vec<u8> {
-    (0..UNIT_BYTES)
-        .map(|i| {
-            (logical
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(generation.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add(i as u64)
-                >> 7) as u8
-        })
-        .collect()
-}
-
 /// Runs `FAULT_CYCLES` fail → replace → rebuild cycles on rotating
 /// disks while the I/O threads are live, then signals them to wind
 /// down. Panics (failing the test) on any admin-path error.
@@ -97,7 +88,7 @@ fn fail_replace_rebuild_races_unit_io() {
     let mut oracle = oracle();
     let data_units = store.data_units();
     for u in 0..data_units {
-        store.write_unit(u, &content(u, 0)).unwrap();
+        store.write_unit(u, &content(u, 0, UNIT_BYTES)).unwrap();
     }
     let stop = AtomicBool::new(false);
     let final_gens: Vec<HashMap<u64, u64>> = std::thread::scope(|s| {
@@ -120,10 +111,10 @@ fn fail_replace_rebuild_races_unit_io() {
                             store.read_unit(u, &mut buf).unwrap();
                             assert_eq!(
                                 buf,
-                                content(u, gens[&u]),
+                                content(u, gens[&u], UNIT_BYTES),
                                 "unit {u} read back a stale or torn generation"
                             );
-                            store.write_unit(u, &content(u, round)).unwrap();
+                            store.write_unit(u, &content(u, round, UNIT_BYTES)).unwrap();
                             gens.insert(u, round);
                         }
                     }
@@ -136,7 +127,7 @@ fn fail_replace_rebuild_races_unit_io() {
     });
     for gens in final_gens {
         for (u, g) in gens {
-            oracle.write(u, &content(u, g));
+            oracle.write(u, &content(u, g, UNIT_BYTES));
         }
     }
     store.verify_parity().unwrap();
@@ -164,7 +155,7 @@ fn fail_replace_rebuild_races_full_stripe_writes() {
     let stripes = data_units / DATA_PER_STRIPE;
     let bpu = (UNIT_BYTES / BLOCK_BYTES as usize) as u64;
     for u in 0..data_units {
-        store.write_unit(u, &content(u, 0)).unwrap();
+        store.write_unit(u, &content(u, 0, UNIT_BYTES)).unwrap();
     }
     let stop = AtomicBool::new(false);
     let final_gens: Vec<HashMap<u64, u64>> = std::thread::scope(|s| {
@@ -184,11 +175,11 @@ fn fail_replace_rebuild_races_full_stripe_writes() {
                             store.read_unit(lo, &mut buf).unwrap();
                             assert_eq!(
                                 buf,
-                                content(lo, gens[&stripe]),
+                                content(lo, gens[&stripe], UNIT_BYTES),
                                 "stripe {stripe} read back a stale generation"
                             );
                             let data: Vec<u8> = (0..DATA_PER_STRIPE)
-                                .flat_map(|k| content(lo + k, round))
+                                .flat_map(|k| content(lo + k, round, UNIT_BYTES))
                                 .collect();
                             store.write_blocks(lo * bpu, &data).unwrap();
                             gens.insert(stripe, round);
@@ -205,13 +196,13 @@ fn fail_replace_rebuild_races_full_stripe_writes() {
         for (stripe, g) in gens {
             let lo = stripe * DATA_PER_STRIPE;
             for k in 0..DATA_PER_STRIPE {
-                oracle.write(lo + k, &content(lo + k, g));
+                oracle.write(lo + k, &content(lo + k, g, UNIT_BYTES));
             }
         }
     }
     // Units past the last full stripe kept generation 0.
     for u in stripes * DATA_PER_STRIPE..data_units {
-        oracle.write(u, &content(u, 0));
+        oracle.write(u, &content(u, 0, UNIT_BYTES));
     }
     store.verify_parity().unwrap();
     oracle.verify_parity().unwrap();
@@ -227,7 +218,7 @@ fn fail_replace_rebuild_races_full_stripe_writes() {
 /// rest is [`content`]'s, so a reader can check a unit it did not
 /// write.
 fn tagged(logical: u64, generation: u64, unit_bytes: usize) -> Vec<u8> {
-    let mut unit = content(logical, generation);
+    let mut unit = content(logical, generation, UNIT_BYTES);
     unit.resize(unit_bytes, 0);
     unit[..8].copy_from_slice(&generation.to_le_bytes());
     unit
@@ -373,7 +364,7 @@ fn reopen_after_rebuild_under_writes_matches_oracle() {
         .unwrap();
         let data_units = store.data_units();
         for u in 0..data_units {
-            store.write_unit(u, &content(u, 0)).unwrap();
+            store.write_unit(u, &content(u, 0, UNIT_BYTES)).unwrap();
         }
         store.flush().unwrap();
         let stop = AtomicBool::new(false);
@@ -387,7 +378,7 @@ fn reopen_after_rebuild_under_writes_matches_oracle() {
                         while (!stop.load(Ordering::Acquire) || round < 2) && round < 4096 {
                             round += 1;
                             for u in (0..data_units).filter(|u| u % IO_THREADS == w) {
-                                store.write_unit(u, &content(u, round)).unwrap();
+                                store.write_unit(u, &content(u, round, UNIT_BYTES)).unwrap();
                                 gens.insert(u, round);
                             }
                         }
@@ -407,7 +398,7 @@ fn reopen_after_rebuild_under_writes_matches_oracle() {
 
         let mut oracle = oracle();
         for (u, g) in final_gens.into_iter().flatten() {
-            oracle.write(u, &content(u, g));
+            oracle.write(u, &content(u, g, UNIT_BYTES));
         }
         let (store, report) = BlockStore::open_with_recovery(&dir, policy).unwrap();
         assert!(report.is_some(), "{policy:?}: a dropped store must recover");

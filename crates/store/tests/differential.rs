@@ -5,6 +5,9 @@
 //! drives the timing simulator (`ArraySim`) as a plausibility check
 //! that the recorded stream is a valid array workload.
 
+mod common;
+
+use common::content;
 use decluster_array::data::DataArray;
 use decluster_array::{ArrayConfig, ArraySim};
 use decluster_core::design::BlockDesign;
@@ -45,20 +48,6 @@ fn store(name: &str) -> BlockStore {
     .unwrap()
 }
 
-/// Deterministic per-write content: the unit's address mixed with a
-/// generation tag, so successive writes to one unit differ.
-fn content(logical: u64, generation: u64) -> Vec<u8> {
-    (0..UNIT_BYTES)
-        .map(|i| {
-            (logical
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(generation.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add(i as u64)
-                >> 7) as u8
-        })
-        .collect()
-}
-
 fn record_trace(data_units: u64, seed: u64, secs: u64) -> Trace {
     let mut workload = Workload::new(WorkloadSpec::half_and_half(120.0), data_units, seed);
     Trace::record(&mut workload, SimTime::from_secs(secs))
@@ -82,7 +71,7 @@ fn replay(store: &BlockStore, oracle: &mut DataArray, requests: &[UserRequest], 
                     );
                 }
                 AccessKind::Write => {
-                    let data = content(logical, tag.wrapping_add(i as u64));
+                    let data = content(logical, tag.wrapping_add(i as u64), UNIT_BYTES);
                     store.write_unit(logical, &data).unwrap();
                     oracle.write(logical, &data);
                 }
@@ -186,7 +175,9 @@ fn full_stripe_requests_are_byte_identical() {
                 }
                 AccessKind::Write => {
                     let data: Vec<u8> = (0..req.units)
-                        .flat_map(|u| content(req.logical_unit + u, tag.wrapping_add(i as u64)))
+                        .flat_map(|u| {
+                            content(req.logical_unit + u, tag.wrapping_add(i as u64), UNIT_BYTES)
+                        })
                         .collect();
                     store.write_blocks(req.logical_unit * bpu, &data).unwrap();
                     for u in 0..req.units {
@@ -245,7 +236,7 @@ fn pq_two_disk_failure_replay_is_byte_identical() {
                 DataArray::new(spec.build().unwrap(), UNITS_PER_DISK, UNIT_BYTES).unwrap();
             assert_eq!(store.data_units(), oracle.data_units());
             for logical in 0..store.data_units() {
-                let data = content(logical, 9_000_000 + pair);
+                let data = content(logical, 9_000_000 + pair, UNIT_BYTES);
                 store.write_unit(logical, &data).unwrap();
                 oracle.write(logical, &data);
             }
@@ -280,7 +271,7 @@ fn degraded_replay_is_byte_identical() {
     let mut oracle = oracle();
     // Prefill every unit, then lose a disk mid-history in both worlds.
     for logical in 0..store.data_units() {
-        let data = content(logical, 1_000_000);
+        let data = content(logical, 1_000_000, UNIT_BYTES);
         store.write_unit(logical, &data).unwrap();
         oracle.write(logical, &data);
     }
@@ -298,7 +289,7 @@ fn post_rebuild_replay_is_byte_identical() {
     let store = store("post-rebuild");
     let mut oracle = oracle();
     for logical in 0..store.data_units() {
-        let data = content(logical, 3_000_000);
+        let data = content(logical, 3_000_000, UNIT_BYTES);
         store.write_unit(logical, &data).unwrap();
         oracle.write(logical, &data);
     }
@@ -335,7 +326,7 @@ fn multi_unit_block_reads_with_partial_ends_are_byte_identical() {
     let store = store("block-spans");
     let mut oracle = oracle();
     for logical in 0..store.data_units() {
-        let data = content(logical, 3_000_000);
+        let data = content(logical, 3_000_000, UNIT_BYTES);
         store.write_unit(logical, &data).unwrap();
         oracle.write(logical, &data);
     }

@@ -4,6 +4,9 @@
 //! never wrong bytes — and auto-demote a disk whose error budget runs
 //! out. Also covers the torn-checksum-region crash hazard.
 
+mod common;
+
+use common::content;
 use decluster_store::checksum::region_bytes;
 use decluster_store::{
     BlockStore, DiskBackend, FaultPlan, FaultyBackend, FileBackend, LatencyProfile, LayoutSpec,
@@ -23,19 +26,6 @@ fn fresh_dir(name: &str) -> PathBuf {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     dir
-}
-
-/// Deterministic unit contents keyed by address and generation.
-fn content(logical: u64, tag: u64, unit_bytes: usize) -> Vec<u8> {
-    (0..unit_bytes)
-        .map(|i| {
-            (logical
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(tag.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add(i as u64)
-                >> 7) as u8
-        })
-        .collect()
 }
 
 /// Byte position of the unit at `offset` within its backing file.

@@ -5,6 +5,9 @@
 //! of `fail_disk` and of a loaded rebuild, and byte-correctness under
 //! concurrent writers hammering overlapping stripes.
 
+mod common;
+
+use common::content;
 use decluster_array::data::DataArray;
 use decluster_core::design::BlockDesign;
 use decluster_core::layout::DeclusteredLayout;
@@ -50,18 +53,6 @@ fn oracle() -> DataArray {
     DataArray::new(layout, UNITS_PER_DISK, UNIT_BYTES).unwrap()
 }
 
-fn content(logical: u64, generation: u64) -> Vec<u8> {
-    (0..UNIT_BYTES)
-        .map(|i| {
-            (logical
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(generation.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add(i as u64)
-                >> 7) as u8
-        })
-        .collect()
-}
-
 /// The acceptance criterion verbatim: a write extent covering all G−1
 /// data units of a stripe costs exactly G disk writes and zero reads.
 #[test]
@@ -69,7 +60,9 @@ fn full_stripe_write_costs_g_writes_zero_reads() {
     let store = store("budget");
     let bpu = (UNIT_BYTES / BLOCK_BYTES as usize) as u64;
     // One whole stripe, aligned to a stripe boundary.
-    let data: Vec<u8> = (0..DATA_PER_STRIPE).flat_map(|u| content(u, 7)).collect();
+    let data: Vec<u8> = (0..DATA_PER_STRIPE)
+        .flat_map(|u| content(u, 7, UNIT_BYTES))
+        .collect();
     let before = store.io_counters();
     store.write_blocks(0, &data).unwrap();
     let after = store.io_counters();
@@ -90,14 +83,14 @@ fn full_stripe_write_costs_g_writes_zero_reads() {
     let mut buf = vec![0u8; UNIT_BYTES];
     for u in 0..DATA_PER_STRIPE {
         store.read_unit(u, &mut buf).unwrap();
-        assert_eq!(buf, content(u, 7));
+        assert_eq!(buf, content(u, 7, UNIT_BYTES));
     }
 
     // A multi-stripe aligned extent stays on budget: G writes per
     // stripe, still zero reads, with adjacent per-disk units coalesced.
     let stripes = 8u64;
     let big: Vec<u8> = (0..stripes * DATA_PER_STRIPE)
-        .flat_map(|u| content(u, 8))
+        .flat_map(|u| content(u, 8, UNIT_BYTES))
         .collect();
     let before = store.io_counters();
     store.write_blocks(0, &big).unwrap();
@@ -117,7 +110,7 @@ fn full_stripe_write_costs_g_writes_zero_reads() {
     store.verify_parity().unwrap();
 
     // An unaligned extent must fall back to RMW and still be correct.
-    let tail = content(1, 9);
+    let tail = content(1, 9, UNIT_BYTES);
     let before = store.io_counters();
     store.write_blocks(bpu, &tail).unwrap();
     let after = store.io_counters();
@@ -140,10 +133,12 @@ fn fast_path_and_unit_path_disks_are_byte_identical() {
     let data_units = fast.data_units();
     // Whole-device write: the fast store takes one stripe-aligned
     // extent at a time, the slow store writes unit by unit.
-    let whole: Vec<u8> = (0..data_units).flat_map(|u| content(u, 42)).collect();
+    let whole: Vec<u8> = (0..data_units)
+        .flat_map(|u| content(u, 42, UNIT_BYTES))
+        .collect();
     fast.write_blocks(0, &whole).unwrap();
     for u in 0..data_units {
-        slow.write_unit(u, &content(u, 42)).unwrap();
+        slow.write_unit(u, &content(u, 42, UNIT_BYTES)).unwrap();
     }
     fast.verify_parity().unwrap();
     slow.verify_parity().unwrap();
@@ -175,14 +170,14 @@ fn concurrent_writers_match_oracle() {
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     for u in (0..data_units).filter(|u| u % WRITERS == w) {
-                        store.write_unit(u, &content(u, round)).unwrap();
+                        store.write_unit(u, &content(u, round, UNIT_BYTES)).unwrap();
                     }
                 }
             });
         }
     });
     for u in 0..data_units {
-        oracle.write(u, &content(u, ROUNDS - 1));
+        oracle.write(u, &content(u, ROUNDS - 1, UNIT_BYTES));
     }
     store.verify_parity().unwrap();
     oracle.verify_parity().unwrap();
@@ -203,7 +198,7 @@ fn concurrent_writers_match_oracle() {
                 for stripe in (0..stripes).filter(|s| s % WRITERS == w) {
                     let lo = stripe * DATA_PER_STRIPE;
                     let data: Vec<u8> = (0..DATA_PER_STRIPE)
-                        .flat_map(|k| content(lo + k, 100 + stripe))
+                        .flat_map(|k| content(lo + k, 100 + stripe, UNIT_BYTES))
                         .collect();
                     store.write_blocks(lo * bpu, &data).unwrap();
                 }
@@ -213,7 +208,7 @@ fn concurrent_writers_match_oracle() {
     for stripe in 0..stripes {
         let lo = stripe * DATA_PER_STRIPE;
         for k in 0..DATA_PER_STRIPE {
-            oracle.write(lo + k, &content(lo + k, 100 + stripe));
+            oracle.write(lo + k, &content(lo + k, 100 + stripe, UNIT_BYTES));
         }
     }
     store.verify_parity().unwrap();
@@ -322,7 +317,7 @@ fn aligned_large_read_costs_one_backend_read_per_disk_run() {
     let bpu = (UB / BLOCK_BYTES as usize) as u64;
     for first in [0u64, 3 * UNITS] {
         let data: Vec<u8> = (first..first + UNITS)
-            .flat_map(|u| content(u, 3).into_iter().take(UB))
+            .flat_map(|u| content(u, 3, UNIT_BYTES).into_iter().take(UB))
             .collect();
         store.write_blocks(first * bpu, &data).unwrap();
 
@@ -402,7 +397,12 @@ fn admin_transitions_sync_exactly_what_they_rely_on() {
     )
     .unwrap();
     let data_units = store.data_units();
-    let unit = |u: u64, g: u64| content(u, g).into_iter().take(UB).collect::<Vec<u8>>();
+    let unit = |u: u64, g: u64| {
+        content(u, g, UNIT_BYTES)
+            .into_iter()
+            .take(UB)
+            .collect::<Vec<u8>>()
+    };
     for u in 0..data_units {
         store.write_unit(u, &unit(u, 0)).unwrap();
     }
