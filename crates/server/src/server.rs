@@ -481,45 +481,36 @@ fn store_error(out: &mut ResponseFrame, error: &StoreError) -> Status {
     }
 }
 
+/// A JSON array of integers, e.g. `[3,0,7]`.
+fn json_list<T: ToString>(values: &[T]) -> String {
+    let mut out = String::from("[");
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&v.to_string());
+    }
+    out.push(']');
+    out
+}
+
 fn rebuild_json(report: &RebuildReport) -> String {
-    let list = |values: &[u64]| {
-        let mut out = String::from("[");
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-        out
-    };
-    let failed = |disks: &[u16]| {
-        let mut out = String::from("[");
-        for (i, v) in disks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push(']');
-        out
-    };
     format!(
         "{{\"failed_disk\":{},\"failed_disks\":{},\"units_rebuilt\":{},\
          \"units_already_valid\":{},\
          \"units_unmapped\":{},\"alpha\":{:.6},\"wall_secs\":{:.6},\
          \"sweep_secs\":{:.6},\"disk_reads\":{},\"disk_writes\":{},\"mapped_units_per_disk\":{}}}",
         report.failed_disks.first().map_or(-1, |d| i64::from(*d)),
-        failed(&report.failed_disks),
+        json_list(&report.failed_disks),
         report.units_rebuilt,
         report.units_already_valid,
         report.units_unmapped,
         report.alpha,
         report.wall_secs,
         report.sweep_secs,
-        list(&report.disk_reads),
-        list(&report.disk_writes),
-        list(&report.mapped_units_per_disk),
+        json_list(&report.disk_reads),
+        json_list(&report.disk_writes),
+        json_list(&report.mapped_units_per_disk),
     )
 }
 
@@ -571,5 +562,28 @@ mod tests {
             connect_and_close();
         }
         server.stop().unwrap();
+    }
+
+    #[test]
+    fn rebuild_json_writes_integer_lists() {
+        let report = RebuildReport {
+            failed_disks: vec![3, 0],
+            units_rebuilt: 5,
+            units_already_valid: 1,
+            units_unmapped: 2,
+            disk_reads: vec![4, 0, 9],
+            disk_writes: Vec::new(),
+            mapped_units_per_disk: vec![7],
+            alpha: 0.25,
+            wall_secs: 1.5,
+            sweep_secs: 1.0,
+        };
+        assert_eq!(
+            rebuild_json(&report),
+            "{\"failed_disk\":3,\"failed_disks\":[3,0],\"units_rebuilt\":5,\
+             \"units_already_valid\":1,\"units_unmapped\":2,\"alpha\":0.250000,\
+             \"wall_secs\":1.500000,\"sweep_secs\":1.000000,\"disk_reads\":[4,0,9],\
+             \"disk_writes\":[],\"mapped_units_per_disk\":[7]}"
+        );
     }
 }
