@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full local gate: formatting, release build, test suite, lint-clean
+# Full local gate: formatting, release build (the workspace and the
+# benchmark package), test suite, lint-clean
 # clippy, warning-free rustdoc, campaign smoke runs (including the
 # scrub/crash arms, one at default scale), a file-backed store smoke
 # cycle, and a network block service smoke (sessioned clients through
@@ -15,6 +16,10 @@ cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> benchmark build (fails on a pub item it uses going away, or on a lockfile rewrite)"
+CARGO_TARGET_DIR=target/benchmark cargo build --release --offline --locked \
+    --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q
