@@ -53,7 +53,7 @@ pub enum Opcode {
     Write = 3,
     /// Durably flushes every acknowledged write.
     Flush = 4,
-    /// Admin: fails disk `a` (medium scrambled, array degraded).
+    /// Admin: fails disk `a` (medium dropped, array degraded).
     FailDisk = 5,
     /// Admin: installs a blank replacement for the failed disk.
     ReplaceDisk = 6,

@@ -362,29 +362,22 @@ impl BlockStore {
         self.write_superblocks(true)
     }
 
-    /// Writes every live disk's in-memory checksum table back into its
-    /// on-disk region. Failed disks are skipped until a replacement is
-    /// installed.
-    pub(crate) fn persist_all_sums(&self) -> Result<()> {
+    /// The disks whose media are present: every disk but the failed
+    /// ones without a replacement, to which nothing is written.
+    fn live_disks(&self) -> impl Iterator<Item = &Arc<DiskFile>> {
         let skip = lock(&self.state).unreplaced();
-        for d in &self.disks {
-            if skip.contains(&d.index) {
-                continue;
-            }
-            d.persist_sums()?;
-        }
-        Ok(())
+        self.disks.iter().filter(move |d| !skip.contains(&d.index))
     }
 
-    /// Syncs every live disk's backing file. Failed disks without a
-    /// replacement are skipped, as every write to them is: their media
-    /// are gone.
+    /// Writes every live disk's in-memory checksum table back into its
+    /// on-disk region.
+    pub(crate) fn persist_all_sums(&self) -> Result<()> {
+        self.live_disks().try_for_each(|d| d.persist_sums())
+    }
+
+    /// Syncs every live disk's backing file.
     pub(crate) fn sync_live_disks(&self) -> Result<()> {
-        let skip = lock(&self.state).unreplaced();
-        for d in self.disks.iter().filter(|d| !skip.contains(&d.index)) {
-            d.sync()?;
-        }
-        Ok(())
+        self.live_disks().try_for_each(|d| d.sync())
     }
 
     /// Flushes dirty state — checksum tables and backing files — while

@@ -254,6 +254,11 @@ fn error_budget_demotes_the_sick_disk_and_rebuild_recovers() {
     store.read_unit(victims[0], &mut buf).unwrap();
     assert_eq!(store.failed_disk(), Some(sick), "budget breach must demote");
     assert_eq!(store.fault_counters().demotions, 1);
+    // The demoted disk's medium is gone: a raw read of its file hits EOF.
+    let path = store.dir().join(format!("disk-{sick:03}.dat"));
+    let raw = FileBackend::new(std::fs::File::open(path).unwrap());
+    let err = raw.read_at(&mut [0u8; 1], 0).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     assert_contents(&store, UB, 3, "degraded after demotion");
 
     // Replace and rebuild online; the array heals completely and the
