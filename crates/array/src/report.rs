@@ -1,17 +1,13 @@
 //! Result types returned by array simulations.
 
-use decluster_sim::{LatencyHistogram, Observations, OnlineStats, ResponseStats, SimTime};
+use decluster_sim::{Observations, OnlineStats, ResponseStats, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// User-visible response-time statistics, shared by [`RunReport`] and
-/// [`ReconReport`].
-///
-/// Each op class keeps both the exact sample store ([`ResponseStats`],
-/// for exact means and nearest-rank percentiles) and a fixed-bucket
-/// log-scaled [`LatencyHistogram`] whose `merge` is exactly associative
-/// — the parallel sweep runner combines per-shard histograms in
-/// submission order and gets byte-identical reports at any thread
-/// count.
+/// [`ReconReport`]: each op class keeps the exact sample store
+/// ([`ResponseStats`]), for exact means and nearest-rank percentiles.
+/// An active [`decluster_sim::Probe`] keeps its own per-class
+/// histograms.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpStats {
     /// Response times of user reads completed in the measurement window.
@@ -20,12 +16,6 @@ pub struct OpStats {
     pub writes: ResponseStats,
     /// All user responses combined.
     pub all: ResponseStats,
-    /// Log-scaled histogram of `reads`.
-    pub read_hist: LatencyHistogram,
-    /// Log-scaled histogram of `writes`.
-    pub write_hist: LatencyHistogram,
-    /// Log-scaled histogram of `all`.
-    pub all_hist: LatencyHistogram,
 }
 
 impl OpStats {
@@ -33,16 +23,12 @@ impl OpStats {
     pub fn record_read(&mut self, response: SimTime) {
         self.reads.record(response);
         self.all.record(response);
-        self.read_hist.record(response);
-        self.all_hist.record(response);
     }
 
     /// Records one completed user write.
     pub fn record_write(&mut self, response: SimTime) {
         self.writes.record(response);
         self.all.record(response);
-        self.write_hist.record(response);
-        self.all_hist.record(response);
     }
 
     /// Exact median response time over all user requests, ms.
@@ -73,16 +59,11 @@ impl OpStats {
         }
     }
 
-    /// Folds `other` into `self`. The histogram components merge
-    /// exactly (integer counters), so shard order does not affect the
-    /// merged histograms.
+    /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &OpStats) {
         self.reads.merge(&other.reads);
         self.writes.merge(&other.writes);
         self.all.merge(&other.all);
-        self.read_hist.merge(&other.read_hist);
-        self.write_hist.merge(&other.write_hist);
-        self.all_hist.merge(&other.all_hist);
     }
 }
 
@@ -252,8 +233,7 @@ pub struct ConsistencyReport {
 /// Results of a steady-state run (fault-free or degraded mode).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
-    /// User response-time statistics (reads, writes, combined), with
-    /// log-scaled latency histograms.
+    /// User response-time statistics (reads, writes, combined).
     pub ops: OpStats,
     /// Simulated time covered by the run.
     pub elapsed: SimTime,
@@ -312,7 +292,7 @@ pub struct ReconReport {
     /// before the replacement was fully rebuilt.
     pub reconstruction_time: Option<SimTime>,
     /// User response-time statistics during reconstruction (`ops.all`
-    /// is the paper's "user response time"), with latency histograms.
+    /// is the paper's "user response time").
     pub ops: OpStats,
     /// Cycle statistics over the whole reconstruction.
     pub cycles: CycleStats,
@@ -378,8 +358,6 @@ mod tests {
         assert_eq!(s.reads.count(), 1);
         assert_eq!(s.writes.count(), 1);
         assert_eq!(s.all.count(), 2);
-        assert_eq!(s.read_hist.count(), 1);
-        assert_eq!(s.all_hist.count(), 2);
         assert_eq!(s.max_ms(), 30.0);
         assert_eq!(s.p50_ms(), 10.0);
         assert_eq!(s.p99_ms(), 30.0);
@@ -410,7 +388,6 @@ mod tests {
         }
         merged.merge(&shard);
         assert_eq!(merged.all.count(), sequential.all.count());
-        assert_eq!(merged.all_hist, sequential.all_hist);
         assert_eq!(merged.p95_ms(), sequential.p95_ms());
     }
 

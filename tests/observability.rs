@@ -147,5 +147,5 @@ fn recorder_observes_without_perturbing_the_simulation() {
     let p95 = probed.ops.p95_ms();
     let p99 = probed.ops.p99_ms();
     assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99);
-    assert!(p99 <= probed.ops.all_hist.max_ms());
+    assert!(p99 <= probed.ops.max_ms());
 }
