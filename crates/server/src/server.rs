@@ -534,9 +534,8 @@ mod tests {
 
     #[test]
     fn finished_connection_threads_are_reaped() {
-        let dir = std::env::temp_dir()
-            .join("decluster-server-tests")
-            .join(format!("reap-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("decluster-server-reap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = LayoutSpec::Complete { disks: 5, group: 4 };
         let store = BlockStore::create(&dir, spec, 36, 1024, 0x5EA3).unwrap();
@@ -562,6 +561,7 @@ mod tests {
             connect_and_close();
         }
         server.stop().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

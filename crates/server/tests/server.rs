@@ -14,7 +14,7 @@ use decluster_store::{
 };
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,17 +23,36 @@ const SPEC: LayoutSpec = LayoutSpec::Complete { disks: 5, group: 4 };
 const UNITS_PER_DISK: u64 = 36;
 const UNIT_BYTES: usize = 1024;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-server-tests")
-        .join(format!("{name}-{}", std::process::id()));
+/// A scratch directory for one test, removed with everything in it
+/// when dropped, so no run leaves its backing files behind.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// An empty scratch directory named for the test and this process.
+fn fresh_dir(name: &str) -> TempDir {
+    let dir = std::env::temp_dir().join(format!(
+        "decluster-server-tests-{name}-{}",
+        std::process::id()
+    ));
     if dir.exists() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    dir
+    TempDir(dir)
 }
 
-fn make_store(name: &str) -> (PathBuf, Arc<BlockStore>) {
+fn make_store(name: &str) -> (TempDir, Arc<BlockStore>) {
     let dir = fresh_dir(name);
     let store = BlockStore::create(&dir, SPEC, UNITS_PER_DISK, UNIT_BYTES as u32, 0x5EA1).unwrap();
     (dir, Arc::new(store))
@@ -41,7 +60,7 @@ fn make_store(name: &str) -> (PathBuf, Arc<BlockStore>) {
 
 /// A store whose disks all answer reads through the given latency
 /// profile — the deterministic way to make requests slow.
-fn slow_store(name: &str, profile: LatencyProfile) -> (PathBuf, Arc<BlockStore>) {
+fn slow_store(name: &str, profile: LatencyProfile) -> (TempDir, Arc<BlockStore>) {
     let dir = fresh_dir(name);
     let plans: Vec<Arc<FaultPlan>> = (0..DISKS)
         .map(|i| FaultPlan::new(0x51_0000 + i as u64 * 2))

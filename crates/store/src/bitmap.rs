@@ -392,16 +392,20 @@ impl SyncGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::{fresh_dir, TempDir};
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("decluster-store-bitmap-tests");
+    /// A path for bitmap file `name` in its own scratch directory, which
+    /// goes when the returned guard drops.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = fresh_dir(&format!("bitmap-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
     fn staged_marks_reach_the_file_releases_stay_lazy() {
-        let path = tmp("persist.bitmap");
+        let (_dir, path) = tmp("persist.bitmap");
         let mut b = IntentBitmap::create(&path, 100, 1).unwrap();
         assert!(b.stage_range(3, 3).unwrap(), "first mark needs a sync");
         assert!(b.stage_range(97, 97).unwrap());
@@ -434,7 +438,7 @@ mod tests {
 
     #[test]
     fn regions_cover_runs_of_stripes() {
-        let path = tmp("regions.bitmap");
+        let (_dir, path) = tmp("regions.bitmap");
         let mut b = IntentBitmap::create(&path, 100, 16).unwrap();
         assert!(b.stage_range(17, 35).unwrap());
         // Seqs 17..=35 span regions 1 and 2 → stripes 16..48 dirty.
@@ -468,7 +472,7 @@ mod tests {
 
     #[test]
     fn open_validates_stripe_count_and_header() {
-        let path = tmp("validate.bitmap");
+        let (_dir, path) = tmp("validate.bitmap");
         IntentBitmap::create(&path, 64, 4).unwrap();
         let reopened = IntentBitmap::open(&path, 64).unwrap();
         assert_eq!(reopened.region(), 4);
@@ -480,18 +484,19 @@ mod tests {
 
     #[test]
     fn out_of_range_seq_is_rejected() {
-        let path = tmp("range.bitmap");
+        let (_dir, path) = tmp("range.bitmap");
         let mut b = IntentBitmap::create(&path, 8, 2).unwrap();
         assert!(b.stage_range(8, 8).is_err());
         assert!(b.stage_range(3, 2).is_err());
         assert!(b.release_range(0, 9).is_err());
         assert!(!b.is_dirty(8));
-        assert!(IntentBitmap::create(&tmp("zero.bitmap"), 8, 0).is_err());
+        let (_dir, zero) = tmp("zero.bitmap");
+        assert!(IntentBitmap::create(&zero, 8, 0).is_err());
     }
 
     #[test]
     fn sync_gate_serves_concurrent_writers() {
-        let path = tmp("gate.bitmap");
+        let (_dir, path) = tmp("gate.bitmap");
         let b = IntentBitmap::create(&path, 64, 1).unwrap();
         let gate = SyncGate::new(b.try_clone_file().unwrap(), path);
         std::thread::scope(|scope| {

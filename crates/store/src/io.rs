@@ -26,6 +26,7 @@ use crate::parity;
 use crate::store::BlockStore;
 use crate::superblock::BLOCK_BYTES;
 use decluster_core::layout::UnitAddr;
+use std::ops::Deref;
 use std::sync::MutexGuard;
 
 /// Stripes handled per full-stripe batch: bounds the lock guards held
@@ -44,9 +45,110 @@ enum NewData<'a> {
 /// Sorts `(disk, offset, payload)` unit ops by position and yields each
 /// maximal run of them: one disk, offsets ascending by one. A run is
 /// what one positional read or write can cover.
-fn disk_runs<T>(ops: &mut [(u16, u64, T)]) -> impl Iterator<Item = &[(u16, u64, T)]> {
+pub(crate) fn disk_runs<T>(ops: &mut [(u16, u64, T)]) -> impl Iterator<Item = &[(u16, u64, T)]> {
     ops.sort_unstable_by_key(|op| (op.0, op.1));
     ops.chunk_by(|a, b| a.0 == b.0 && b.1 == a.1 + 1)
+}
+
+/// How a stripe decode recovers its lost data units: the one match
+/// over the erasure pattern, shared by the degraded user paths and the
+/// rebuild. Positions are in layout order: data, then P, then Q.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decode {
+    /// No data unit is lost: the surviving data are the images.
+    Intact,
+    /// One data unit lost, P survives: plain XOR through P.
+    ThroughP(usize),
+    /// One data unit lost with P, Q survives: through Q over GF(256).
+    ThroughQ(usize),
+    /// Two data units lost, P and Q survive: the 2×2 Vandermonde solve.
+    TwoData(usize, usize),
+}
+
+impl Decode {
+    /// The decode for the erasures `lost` on a stripe with `m` parity
+    /// units.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::InvalidState`] when `lost` marks more units than
+    /// the stripe's parity can recover.
+    pub(crate) fn plan(lost: &[bool], m: usize) -> Result<Decode> {
+        let d = lost.len() - m;
+        let mut missing = (0..d).filter(|&i| lost[i]);
+        match (missing.next(), missing.next(), missing.next()) {
+            (None, ..) => Ok(Decode::Intact),
+            (Some(a), None, _) if !lost[d] => Ok(Decode::ThroughP(a)),
+            (Some(a), None, _) if m == 2 && !lost[d + 1] => Ok(Decode::ThroughQ(a)),
+            (Some(a), Some(b), None) if m == 2 && !lost[d] && !lost[d + 1] => {
+                Ok(Decode::TwoData(a, b))
+            }
+            _ => Err(StoreError::state(
+                "stripe has more lost units than its parity can recover".to_string(),
+            )),
+        }
+    }
+
+    /// The stripe positions whose images [`Decode::apply`] needs: every
+    /// surviving data unit, then the parities it folds through.
+    pub(crate) fn survivors(self, lost: &[bool], m: usize) -> impl Iterator<Item = usize> + '_ {
+        let d = lost.len() - m;
+        let parities: &[usize] = match self {
+            Decode::Intact => &[],
+            Decode::ThroughP(_) => &[0],
+            Decode::ThroughQ(_) => &[1],
+            Decode::TwoData(..) => &[0, 1],
+        };
+        (0..d)
+            .filter(|&i| !lost[i])
+            .chain(parities.iter().map(move |j| d + j))
+    }
+
+    /// Decodes in place. `images` holds one image per stripe position;
+    /// on entry every position [`Decode::survivors`] lists holds its
+    /// unit's contents, and on return every data position does too.
+    /// The survivors are left as they were.
+    pub(crate) fn apply(self, lost: &[bool], m: usize, images: &mut [&mut [u8]]) {
+        let d = lost.len() - m;
+        // Takes parity `j` into `acc` and folds every surviving data
+        // image into it, leaving only the erased units' share.
+        let fold = |images: &[&mut [u8]], j: usize, acc: &mut [u8]| {
+            acc.copy_from_slice(images[d + j]);
+            for i in (0..d).filter(|&i| !lost[i]) {
+                parity::fold_into(acc, j as u16, i as u16, images[i]);
+            }
+        };
+        match self {
+            Decode::Intact => {}
+            Decode::ThroughP(a) => {
+                // P survives: the erased unit is what P leaves over.
+                let acc = std::mem::take(&mut images[a]);
+                fold(images, 0, acc);
+                images[a] = acc;
+            }
+            Decode::ThroughQ(a) => {
+                // P is gone but Q survives: d_a = g^{-a}·(Q ⊕ Σ g^i·d_i).
+                let acc = std::mem::take(&mut images[a]);
+                fold(images, 1, acc);
+                parity::gf_scale(acc, parity::gf_inv(parity::gf_pow2(a as u16)));
+                images[a] = acc;
+            }
+            Decode::TwoData(a, b) => {
+                // Two data erasures: fold the survivors into both parity
+                // images, then solve the 2×2 system, which leaves d_b in
+                // the P accumulator and d_a in the Q one.
+                let (q, p) = (
+                    std::mem::take(&mut images[a]),
+                    std::mem::take(&mut images[b]),
+                );
+                fold(images, 0, p);
+                fold(images, 1, q);
+                parity::gf_solve_two_data(a as u16, b as u16, p, q);
+                images[a] = q;
+                images[b] = p;
+            }
+        }
+    }
 }
 
 impl BlockStore {
@@ -70,12 +172,11 @@ impl BlockStore {
         }
     }
 
-    /// Reads the stripe's `G − m` data images in index order, decoding
-    /// the positions flagged in `lost` from the surviving redundancy:
-    /// one data erasure resolves through P (plain XOR) or, with P also
-    /// gone on a P+Q stripe, through Q; two data erasures solve the
-    /// 2×2 Vandermonde system over GF(256). Returns the images and the
-    /// number of survivor units read.
+    /// Reads the stripe's `G − m` data images in index order: each
+    /// survivor the decode needs through [`BlockStore::read_survivor`],
+    /// then the positions flagged in `lost` decoded from them (see
+    /// [`Decode`]). Returns the images and the number of survivor units
+    /// read.
     ///
     /// # Errors
     ///
@@ -89,65 +190,27 @@ impl BlockStore {
         verified: bool,
     ) -> Result<(Vec<PooledBuf<'_>>, u64)> {
         let m = self.parity_units() as usize;
-        let d = units.len() - m;
+        let plan = Decode::plan(lost, m)?;
+        let mut bufs: Vec<PooledBuf<'_>> = units.iter().map(|_| self.buffers.get()).collect();
         let mut reads = 0u64;
-        let mut bufs = Vec::with_capacity(d);
-        for i in 0..d {
-            let mut b = self.buffers.get();
-            if !lost[i] {
-                self.read_survivor(units[i], &mut b, verified)?;
-                reads += 1;
-            }
-            bufs.push(b);
-        }
-        // Reads parity `j` into `acc` and folds every surviving data
-        // image into it, leaving only the erased units' share.
-        let mut survivors_into = |j: usize, acc: &mut [u8]| -> Result<()> {
-            self.read_survivor(units[d + j], acc, verified)?;
+        for pos in plan.survivors(lost, m) {
+            self.read_survivor(units[pos], &mut bufs[pos], verified)?;
             reads += 1;
-            for (i, b) in bufs.iter().enumerate().filter(|&(i, _)| !lost[i]) {
-                parity::fold_into(acc, j as u16, i as u16, b);
-            }
-            Ok(())
-        };
-        let missing: Vec<usize> = (0..d).filter(|&i| lost[i]).collect();
-        match missing.as_slice() {
-            [] => {}
-            &[a] if !lost[d] => {
-                // P survives: the erased unit is what P leaves over.
-                let mut acc = self.buffers.get();
-                survivors_into(0, &mut acc)?;
-                bufs[a].copy_from_slice(&acc);
-            }
-            &[a] if m == 2 && !lost[d + 1] => {
-                // P is gone but Q survives: d_a = g^{-a}·(Q ⊕ Σ g^i·d_i).
-                let mut acc = self.buffers.get();
-                survivors_into(1, &mut acc)?;
-                parity::gf_scale(&mut acc, parity::gf_inv(parity::gf_pow2(a as u16)));
-                bufs[a].copy_from_slice(&acc);
-            }
-            &[a, b] if m == 2 && !lost[d] && !lost[d + 1] => {
-                // Two data erasures: fold the survivors into both parity
-                // images, then solve the 2×2 system.
-                let (mut p, mut q) = (self.buffers.get(), self.buffers.get());
-                survivors_into(0, &mut p)?;
-                survivors_into(1, &mut q)?;
-                parity::gf_solve_two_data(a as u16, b as u16, &mut p, &mut q);
-                bufs[a].copy_from_slice(&q);
-                bufs[b].copy_from_slice(&p);
-            }
-            _ => {
-                return Err(StoreError::state(
-                    "stripe has more lost units than its parity can recover".to_string(),
-                ))
-            }
         }
+        let mut images: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
+        plan.apply(lost, m, &mut images);
+        bufs.truncate(units.len() - m);
         Ok((bufs, reads))
     }
 
     /// Computes the `j`-th parity unit (0 = P, 1 = Q) of a stripe from
     /// its data images into `out`.
-    pub(crate) fn compute_parity_into(&self, j: u16, data: &[PooledBuf<'_>], out: &mut [u8]) {
+    pub(crate) fn compute_parity_into<B: Deref<Target = [u8]>>(
+        &self,
+        j: u16,
+        data: &[B],
+        out: &mut [u8],
+    ) {
         out.fill(0);
         for (i, b) in data.iter().enumerate() {
             parity::fold_into(out, j, i as u16, b);

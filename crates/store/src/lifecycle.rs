@@ -401,15 +401,27 @@ impl BlockStore {
     /// change also needs data or checksum regions durable syncs them
     /// first.
     pub(crate) fn write_superblocks(&self, clean: bool) -> Result<()> {
+        self.write_superblocks_counted(clean).map_err(|(_, e)| e)
+    }
+
+    /// As [`BlockStore::write_superblocks`]; a failure also says how
+    /// many superblocks were written before it.
+    pub(crate) fn write_superblocks_counted(
+        &self,
+        clean: bool,
+    ) -> std::result::Result<(), (usize, StoreError)> {
         let (encoded, skip) = {
             let st = lock(&self.state);
             (st.encoded(), st.unreplaced())
         };
+        let mut written = 0;
         for (i, d) in self.disks.iter().enumerate() {
             if skip.contains(&(i as u16)) {
                 continue;
             }
-            d.write_superblock(&self.superblock(i as u16, encoded, clean))?;
+            d.write_superblock(&self.superblock(i as u16, encoded, clean))
+                .map_err(|e| (written, e))?;
+            written += 1;
         }
         Ok(())
     }

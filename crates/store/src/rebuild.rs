@@ -3,10 +3,13 @@
 //! measure the paper's α.
 
 use crate::error::{Result, StoreError};
+use crate::io::{disk_runs, Decode};
 use crate::lock;
 use crate::store::{BlockStore, FaultState};
+use decluster_core::layout::UnitAddr;
 use std::num::NonZeroUsize;
 use std::sync::atomic::Ordering;
+use std::sync::MutexGuard;
 use std::time::Instant;
 
 /// What an online rebuild did, with the per-disk I/O that proves the
@@ -53,6 +56,22 @@ impl RebuildReport {
     }
 }
 
+/// Offsets of each failed disk one rebuild window covers. A window
+/// holds the lock buckets of at most this many stripes per failed disk
+/// (of 1,024) for its reads, decodes and writes, so user I/O to those
+/// stripes waits out one window's I/O; at 32 the user write p90 of a
+/// loaded rebuild grew past its bound, at 8 the rebuild ran slower (see
+/// DESIGN.md, "Rebuild and α").
+const REBUILD_WINDOW: u64 = 16;
+
+/// A rebuild worker's staging, reused across its windows: the survivor
+/// images in run order, and the lost units' images in write order.
+#[derive(Debug, Default)]
+struct WindowBufs {
+    survivors: Vec<u8>,
+    lost: Vec<u8>,
+}
+
 /// Per-worker tally of a rebuild range.
 #[derive(Debug, Default, Clone, Copy)]
 struct RebuildChunk {
@@ -79,8 +98,11 @@ impl BlockStore {
             // automatically — a second failure is an operator call.
             return Ok(());
         }
+        // A demotion that fails leaves the disk live; its next fault
+        // flags it again, since its count stays over the budget.
+        self.fail_locked(disk)?;
         self.health.note_demotion();
-        self.fail_locked(disk)
+        Ok(())
     }
 
     /// Fails a disk: the surviving superblocks record the degradation,
@@ -117,7 +139,10 @@ impl BlockStore {
     /// disks sync before the superblocks: it is the last chance to make
     /// pre-failure writes durable with full redundancy, and recovery
     /// leaves a stripe with a failed member alone, so a torn write
-    /// there would become a degraded write hole. Only once the
+    /// there would become a degraded write hole. An error before any
+    /// superblock records the failure undoes it in memory, so the store
+    /// serves as before and a retry can run; once one does, the disk
+    /// stays failed, as a reopen would find it. Only once the
     /// superblocks record the failure is the medium truncated to
     /// nothing, so a read of it through a bug fails with EOF instead of
     /// returning stale bytes: truncated earlier, a crash would leave an
@@ -127,8 +152,18 @@ impl BlockStore {
     /// failed disk's file whatever it holds.
     fn fail_locked(&self, disk: u16) -> Result<()> {
         self.update_faults(|st| st.fail(disk));
-        self.sync_live_disks()?;
-        self.write_superblocks(false)?;
+        let recorded = match self.sync_live_disks() {
+            Ok(()) => self.write_superblocks_counted(false),
+            Err(e) => Err((0, e)),
+        };
+        match recorded {
+            Ok(()) => {}
+            Err((0, e)) => {
+                self.update_faults(|st| st.failed.retain(|f| f.disk != disk));
+                return Err(e);
+            }
+            Err((_, e)) => return Err(e),
+        }
         let _ = self.disks[disk as usize].backend.set_len(0);
         Ok(())
     }
@@ -278,60 +313,187 @@ impl BlockStore {
         })
     }
 
+    /// Rebuilds the failed disks' offsets `lo..hi`, one window of
+    /// [`REBUILD_WINDOW`] offsets at a time.
     fn rebuild_range(&self, failed: &[u16], lo: u64, hi: u64) -> Result<RebuildChunk> {
         let mut chunk = RebuildChunk::default();
-        let mut out = self.buffers.get();
+        let mut bufs = WindowBufs::default();
+        for start in (lo..hi).step_by(REBUILD_WINDOW as usize) {
+            let end = hi.min(start + REBUILD_WINDOW);
+            self.rebuild_window(failed, start, end, &mut bufs, &mut chunk)?;
+        }
+        Ok(chunk)
+    }
+
+    /// Rebuilds the failed disks' offsets `lo..hi` in five steps:
+    /// 1. lock the window's stripe buckets in ascending order;
+    /// 2. drop the units already valid, under one state-mutex hold;
+    /// 3. read the survivors the decodes need, one backend call per
+    ///    maximal run of adjacent offsets on one disk;
+    /// 4. decode each stripe once, and write each replacement's
+    ///    adjacent lost offsets in one call;
+    /// 5. mark every written unit rebuilt, under one state-mutex hold.
+    ///
+    /// A P+Q stripe that lost two members installs both from its one
+    /// decode, wherever the second one lies.
+    fn rebuild_window(
+        &self,
+        failed: &[u16],
+        lo: u64,
+        hi: u64,
+        bufs: &mut WindowBufs,
+        chunk: &mut RebuildChunk,
+    ) -> Result<()> {
+        let ub = self.unit_bytes;
         let m = self.parity_units() as usize;
+        let width = self.mapping.stripe_width() as usize;
+        // Each mapped unit of the window, with the index of its stripe
+        // among the window's distinct stripes.
+        let mut visits: Vec<(UnitAddr, usize)> = Vec::new();
+        let mut stripes: Vec<(u64, Vec<UnitAddr>)> = Vec::new();
         for offset in lo..hi {
             for &fd in failed {
                 let Some(stripe) = self.mapping.role_at(fd, offset).stripe() else {
                     chunk.unmapped += 1;
                     continue;
                 };
-                let _guard = self.lock_stripe(stripe);
-                {
-                    let st = lock(&self.state);
-                    // A degraded-mode write (or this stripe's earlier
-                    // visit through its other failed member) may have
-                    // landed this unit on the replacement already; a
-                    // missing map means another path finished the
-                    // rebuild.
-                    let valid = st
-                        .slot(fd)
-                        .is_none_or(|f| f.rebuilt.as_ref().is_none_or(|r| r[offset as usize]));
-                    if valid {
-                        chunk.already_valid += 1;
-                        continue;
-                    }
+                let s = stripes
+                    .iter()
+                    .position(|&(id, _)| id == stripe)
+                    .unwrap_or_else(|| {
+                        stripes.push((stripe, self.mapping.stripe_units(stripe)));
+                        stripes.len() - 1
+                    });
+                visits.push((UnitAddr::new(fd, offset), s));
+            }
+        }
+        let mut buckets: Vec<usize> = stripes
+            .iter()
+            .map(|&(id, _)| self.lock_bucket(id))
+            .collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        let _guards: Vec<MutexGuard<'_, ()>> =
+            buckets.iter().map(|&b| lock(&self.locks[b])).collect();
+
+        // The stripes to decode, with their erasures. A degraded-mode
+        // write (or an earlier decode of a stripe that lost two members)
+        // may have landed a unit on the replacement already; a missing
+        // map means another path finished the rebuild.
+        let mut todo: Vec<(Vec<UnitAddr>, Vec<bool>)> = Vec::new();
+        {
+            let st = lock(&self.state);
+            let mut decode = vec![false; stripes.len()];
+            for &(u, s) in &visits {
+                let valid = st
+                    .slot(u.disk)
+                    .is_none_or(|f| f.rebuilt.as_ref().is_none_or(|r| r[u.offset as usize]));
+                if valid {
+                    chunk.already_valid += 1;
+                } else {
+                    chunk.rebuilt += 1;
+                    decode[s] = true;
                 }
-                // Decode the stripe once and install every still-lost
-                // unit — on a P+Q stripe that lost two members, both are
-                // recovered from one pass over the survivors. Survivor
-                // reads are verified: a sick survivor would silently
-                // corrupt the reconstruction, and with the stripe's
-                // redundancy already spent a survivor fault escalates
-                // as a typed error.
-                let units = self.mapping.stripe_units(stripe);
-                let lost = self.lost_flags(&units);
-                let (data, _) = self.read_stripe_data(&units, &lost, true)?;
-                let d = units.len() - m;
-                for (pos, u) in units.iter().enumerate() {
-                    if !lost[pos] {
-                        continue;
-                    }
-                    if pos < d {
-                        self.disks[u.disk as usize].write_unit(u.offset, &data[pos])?;
-                    } else {
-                        self.compute_parity_into((pos - d) as u16, &data, &mut out);
-                        self.disks[u.disk as usize].write_unit(u.offset, &out)?;
-                    }
-                    if u.disk == fd {
-                        chunk.rebuilt += 1;
-                    }
-                    lock(&self.state).mark_rebuilt(*u);
+            }
+            for ((_, units), _) in stripes.into_iter().zip(decode).filter(|&(_, d)| d) {
+                let lost = units.iter().map(|&u| st.is_lost(u)).collect();
+                todo.push((units, lost));
+            }
+        }
+
+        // Every unit to read or write, keyed by `slot = s * width + pos`
+        // (stripe `s` of `todo`, stripe position `pos`). Survivor reads
+        // are verified: a sick survivor would silently corrupt the
+        // reconstruction, and with the stripe's redundancy spent a
+        // survivor fault escalates as a typed error.
+        let mut plans = Vec::with_capacity(todo.len());
+        let mut reads: Vec<(u16, u64, usize)> = Vec::new();
+        let mut writes: Vec<(u16, u64, usize)> = Vec::new();
+        for (s, (units, lost)) in todo.iter().enumerate() {
+            let plan = Decode::plan(lost, m)?;
+            for pos in plan.survivors(lost, m) {
+                reads.push((units[pos].disk, units[pos].offset, s * width + pos));
+            }
+            for pos in (0..width).filter(|&pos| lost[pos]) {
+                writes.push((units[pos].disk, units[pos].offset, s * width + pos));
+            }
+            plans.push(plan);
+        }
+        // `place[slot]`: the unit's index in its staging buffer, which
+        // holds the units in run order.
+        let mut place = vec![usize::MAX; todo.len() * width];
+        bufs.survivors.resize(reads.len() * ub, 0);
+        let mut next = 0;
+        for run in disk_runs(&mut reads) {
+            let (disk, offset, _) = run[0];
+            let stage = &mut bufs.survivors[next * ub..(next + run.len()) * ub];
+            self.read_survivor_run(disk, offset, stage)?;
+            for &(_, _, slot) in run {
+                place[slot] = next;
+                next += 1;
+            }
+        }
+        for (k, &(_, _, slot)) in disk_runs(&mut writes).flatten().enumerate() {
+            place[slot] = k;
+        }
+
+        // Decode each stripe in place: its survivors stay where their
+        // runs landed, and its lost units are decoded or computed
+        // straight into their places in the write staging.
+        bufs.lost.resize(writes.len() * ub, 0);
+        let mut survivors: Vec<&mut [u8]> = bufs.survivors.chunks_exact_mut(ub).collect();
+        let mut outs: Vec<&mut [u8]> = bufs.lost.chunks_exact_mut(ub).collect();
+        let d = width - m;
+        for (s, ((_, lost), plan)) in todo.iter().zip(plans).enumerate() {
+            let mut images: Vec<&mut [u8]> = (0..width)
+                .map(|pos| match place[s * width + pos] {
+                    usize::MAX => Default::default(),
+                    k if lost[pos] => std::mem::take(&mut outs[k]),
+                    k => std::mem::take(&mut survivors[k]),
+                })
+                .collect();
+            plan.apply(lost, m, &mut images);
+            let (data, parity) = images.split_at_mut(d);
+            for (j, out) in parity.iter_mut().enumerate() {
+                if lost[d + j] {
+                    self.compute_parity_into(j as u16, data, out);
                 }
             }
         }
-        Ok(chunk)
+        let mut next = 0;
+        for run in disk_runs(&mut writes) {
+            let (disk, offset, _) = run[0];
+            let units = &bufs.lost[next * ub..(next + run.len()) * ub];
+            self.disks[disk as usize].write_units(offset, units, ub)?;
+            next += run.len();
+        }
+
+        let mut st = lock(&self.state);
+        for &(disk, offset, _) in &writes {
+            st.mark_rebuilt(UnitAddr::new(disk, offset));
+        }
+        Ok(())
+    }
+
+    /// Reads the survivor units contiguous from `offset` on `disk` into
+    /// `out`, each one verified, with the ladder of the healthy run
+    /// read: one backend call for a run (retried whole on `EIO`, then
+    /// unit by unit), each unit's checksum checked, and a mismatch
+    /// re-read alone through [`BlockStore::read_unit_verified`], which
+    /// detects, charges and resolves it exactly once. A single unit is
+    /// read verified directly. The caller holds the units' stripe locks.
+    fn read_survivor_run(&self, disk: u16, offset: u64, out: &mut [u8]) -> Result<()> {
+        let ub = self.unit_bytes;
+        if out.len() == ub {
+            return self.read_unit_verified(UnitAddr::new(disk, offset), out);
+        }
+        self.read_run_verified(disk, offset, out)?;
+        for (k, unit) in out.chunks_exact_mut(ub).enumerate() {
+            let at = offset + k as u64;
+            if self.disks[disk as usize].check_sum(at, unit).is_err() {
+                self.read_unit_verified(UnitAddr::new(disk, at), unit)?;
+            }
+        }
+        Ok(())
     }
 }

@@ -425,14 +425,40 @@ pub(crate) mod tests {
     use decluster_array::RecoveryPolicy;
     use std::os::unix::fs::FileExt;
 
-    pub(crate) fn fresh_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("decluster-store-unit-tests")
-            .join(format!("{name}-{}", std::process::id()));
+    /// A scratch directory for one test, removed with everything in it
+    /// when dropped, so no run leaves its backing files behind.
+    #[derive(Debug)]
+    pub(crate) struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// An empty scratch directory named for the test and this process.
+    pub(crate) fn fresh_dir(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "decluster-store-unit-{name}-{}",
+            std::process::id()
+        ));
         if dir.exists() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
-        dir
+        TempDir(dir)
     }
 
     fn small_spec() -> LayoutSpec {
@@ -727,12 +753,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// A file backend whose durable writes, or whose `set_len`, fail
+    /// A file backend whose syncs, durable writes, or `set_len` fail
     /// once armed: a stand-in for a crash at that call, since nothing
     /// after it in a transition runs.
     #[derive(Debug)]
     struct Refusing {
         inner: FileBackend,
+        sync: bool,
         durable: bool,
         set_len: bool,
         armed: Arc<AtomicBool>,
@@ -762,6 +789,7 @@ pub(crate) mod tests {
         }
 
         fn sync(&self) -> std::io::Result<()> {
+            self.refuse(self.sync)?;
             self.inner.sync()
         }
 
@@ -777,55 +805,88 @@ pub(crate) mod tests {
     /// the failure, so no crash leaves an unreadable superblock that
     /// the survivors do not mark failed. Dropping the file is best
     /// effort, so a disk that refuses even that still fails cleanly.
+    ///
+    /// Before the crash, the store must serve every unit. A transition
+    /// that failed before any superblock recorded it is undone in
+    /// memory, so the array is not degraded and a retry of `fail_disk`
+    /// succeeds; such a case runs twice, crashing as it stands and
+    /// after the retry. Once a superblock records the failure, the disk
+    /// stays failed, as a reopen finds it.
     #[test]
     fn a_crash_inside_fail_disk_reopens() {
-        // (case, first disk refusing durable writes, disk refusing
-        // set_len, whether fail_disk succeeds, failed disks on reopen)
-        let cases: [(&str, u16, u16, bool, &[u16]); 3] = [
-            ("crash-before-superblocks", 0, u16::MAX, false, &[]),
-            ("crash-between-superblocks", 2, u16::MAX, false, &[1]),
-            ("crash-before-truncation", u16::MAX, 1, true, &[1]),
+        const NONE: u16 = u16::MAX;
+        // (case, disk refusing syncs, first disk refusing durable
+        // writes, disk refusing set_len, whether fail_disk succeeds,
+        // whether disk 1 stays failed in memory)
+        let cases = [
+            ("crash-in-live-sync", 0, NONE, NONE, false, false),
+            ("crash-before-superblocks", NONE, 0, NONE, false, false),
+            ("crash-between-superblocks", NONE, 2, NONE, false, true),
+            ("crash-before-truncation", NONE, NONE, 1, true, true),
         ];
-        for (case, durable_from, set_len_on, ok, failed) in cases {
-            for policy in [RecoveryPolicy::DirtyRegionLog, RecoveryPolicy::FullResync] {
-                let name = format!("{case}-{policy:?}");
-                let dir = fresh_dir(&name);
-                let armed = Arc::new(AtomicBool::new(false));
-                let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
-                    Box::new(Refusing {
-                        inner: FileBackend::new(file),
-                        durable: i >= durable_from,
-                        set_len: i == set_len_on,
-                        armed: Arc::clone(&armed),
-                    })
-                };
-                let store =
-                    BlockStore::create_with_backend(&dir, small_spec(), 32, 512, 17, &factory)
-                        .unwrap();
-                let unit = |l: u64| vec![l as u8 ^ 0x3C; 512];
-                for l in 0..store.data_units() {
-                    store.write_unit(l, &unit(l)).unwrap();
-                }
-                armed.store(true, Ordering::SeqCst);
-                assert_eq!(store.fail_disk(1).is_ok(), ok, "{name}");
-                drop(store);
+        for (case, sync_on, durable_from, set_len_on, ok, kept) in cases {
+            let retries: &[bool] = if kept { &[false] } else { &[false, true] };
+            for &retry in retries {
+                for policy in [RecoveryPolicy::DirtyRegionLog, RecoveryPolicy::FullResync] {
+                    let name = format!(
+                        "{case}-{}-{policy:?}",
+                        if retry { "retried" } else { "as-is" }
+                    );
+                    let dir = fresh_dir(&name);
+                    let armed = Arc::new(AtomicBool::new(false));
+                    let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
+                        Box::new(Refusing {
+                            inner: FileBackend::new(file),
+                            sync: i == sync_on,
+                            durable: i >= durable_from,
+                            set_len: i == set_len_on,
+                            armed: Arc::clone(&armed),
+                        })
+                    };
+                    let store =
+                        BlockStore::create_with_backend(&dir, small_spec(), 32, 512, 17, &factory)
+                            .unwrap();
+                    let unit = |l: u64| vec![l as u8 ^ 0x3C; 512];
+                    for l in 0..store.data_units() {
+                        store.write_unit(l, &unit(l)).unwrap();
+                    }
+                    armed.store(true, Ordering::SeqCst);
+                    assert_eq!(store.fail_disk(1).is_ok(), ok, "{name}");
+                    let in_memory: &[u16] = if kept { &[1] } else { &[] };
+                    assert_eq!(store.failed_disks(), in_memory, "{name}: in memory");
+                    assert_eq!(store.is_degraded(), kept, "{name}: degraded mirror");
+                    let mut back = vec![0u8; 512];
+                    for l in 0..store.data_units() {
+                        store.read_unit(l, &mut back).unwrap();
+                        assert_eq!(back, unit(l), "{name}: unit {l} before the crash");
+                    }
+                    if retry {
+                        armed.store(false, Ordering::SeqCst);
+                        store.fail_disk(1).unwrap();
+                        assert_eq!(store.failed_disks(), vec![1], "{name}: after the retry");
+                    }
+                    drop(store);
 
-                let (store, report) = BlockStore::open_with_recovery(&dir, policy).unwrap();
-                // Disk 1's file was never truncated.
-                assert!(std::fs::metadata(disk_path(&dir, 1)).unwrap().len() > 0);
-                assert!(report.is_some(), "{name}: a crash runs recovery");
-                assert_eq!(store.failed_disks(), failed, "{name}");
-                let mut back = vec![0u8; 512];
-                for l in 0..store.data_units() {
-                    store.read_unit(l, &mut back).unwrap();
-                    assert_eq!(back, unit(l), "{name}: unit {l}");
+                    let (store, report) = BlockStore::open_with_recovery(&dir, policy).unwrap();
+                    // Disk 1's file was truncated only by a retry that
+                    // completed.
+                    let len = std::fs::metadata(disk_path(&dir, 1)).unwrap().len();
+                    assert_eq!(len == 0, retry, "{name}: disk 1 is {len} bytes");
+                    assert!(report.is_some(), "{name}: a crash runs recovery");
+                    let failed = store.failed_disks();
+                    assert_eq!(failed.is_empty(), !kept && !retry, "{name}: {failed:?}");
+                    for l in 0..store.data_units() {
+                        store.read_unit(l, &mut back).unwrap();
+                        assert_eq!(back, unit(l), "{name}: unit {l}");
+                    }
+                    if !failed.is_empty() {
+                        assert_eq!(failed, vec![1], "{name}");
+                        store.replace_disk().unwrap();
+                        store.rebuild(1).unwrap();
+                    }
+                    store.verify_parity().unwrap();
+                    store.close().unwrap();
                 }
-                if !failed.is_empty() {
-                    store.replace_disk().unwrap();
-                    store.rebuild(1).unwrap();
-                }
-                store.verify_parity().unwrap();
-                store.close().unwrap();
             }
         }
     }

@@ -11,17 +11,19 @@
 
 mod common;
 
-use common::content;
+use common::{content, fresh_dir, TempDir};
 use decluster_array::data::DataArray;
 use decluster_array::RecoveryPolicy;
 use decluster_core::design::BlockDesign;
 use decluster_core::layout::DeclusteredLayout;
-use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
+use decluster_store::{
+    BlockStore, DiskBackend, FaultPlan, FaultyBackend, FileBackend, LatencyProfile, LayoutSpec,
+    BLOCK_BYTES,
+};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const UNITS_PER_DISK: u64 = 36;
@@ -32,19 +34,11 @@ const DATA_PER_STRIPE: u64 = (GROUP - 1) as u64;
 const IO_THREADS: u64 = 8;
 const FAULT_CYCLES: u16 = 3;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-store-concurrent-faults")
-        .join(format!("{name}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    dir
-}
-
-fn store(name: &str) -> BlockStore {
-    BlockStore::create(
-        &fresh_dir(name),
+/// A fresh store, and the directory it lives in.
+fn store(name: &str) -> (BlockStore, TempDir) {
+    let dir = fresh_dir(name);
+    let store = BlockStore::create(
+        &dir,
         LayoutSpec::Complete {
             disks: DISKS,
             group: GROUP,
@@ -53,7 +47,8 @@ fn store(name: &str) -> BlockStore {
         UNIT_BYTES as u32,
         0xFA11,
     )
-    .unwrap()
+    .unwrap();
+    (store, dir)
 }
 
 fn oracle() -> DataArray {
@@ -84,7 +79,7 @@ fn admin_cycles(store: &BlockStore, stop: &AtomicBool) {
 /// so it knows exactly what every read must return.
 #[test]
 fn fail_replace_rebuild_races_unit_io() {
-    let store = store("unit-io");
+    let (store, _dir) = store("unit-io");
     let mut oracle = oracle();
     let data_units = store.data_units();
     for u in 0..data_units {
@@ -149,7 +144,7 @@ fn fail_replace_rebuild_races_unit_io() {
 /// on the degraded path or RMW correctly around the dead disk.
 #[test]
 fn fail_replace_rebuild_races_full_stripe_writes() {
-    let store = store("stripe-io");
+    let (store, _dir) = store("stripe-io");
     let mut oracle = oracle();
     let data_units = store.data_units();
     let stripes = data_units / DATA_PER_STRIPE;
@@ -245,15 +240,9 @@ impl Drop for Done {
 fn large_reads_race_full_stripe_writers_and_a_disk_failure() {
     const UB: usize = 512;
     const SPAN: u64 = 192;
+    let dir = fresh_dir("large-reads");
     let store = Arc::new(
-        BlockStore::create(
-            &fresh_dir("large-reads"),
-            "bibd:c10g4".parse().unwrap(),
-            336,
-            UB as u32,
-            0xFA12,
-        )
-        .unwrap(),
+        BlockStore::create(&dir, "bibd:c10g4".parse().unwrap(), 336, UB as u32, 0xFA12).unwrap(),
     );
     let data_units = store.data_units();
     let stripes = data_units / DATA_PER_STRIPE;
@@ -414,4 +403,104 @@ fn reopen_after_rebuild_under_writes_matches_oracle() {
         }
         store.close().unwrap();
     }
+}
+
+/// User writes to the units of the stripes that lose a member in a
+/// rebuild's first four windows race `rebuild(1)`: whether a write lands
+/// before its window (degraded, the window then decodes or skips it),
+/// while the window holds its stripes, or after (on the rebuilt
+/// stripe), the result must be byte-identical to the `DataArray`
+/// oracle. A window that let go of its stripe locks before its reads
+/// fails here with a parity mismatch.
+#[test]
+fn user_writes_race_the_first_rebuild_windows() {
+    const UB: usize = 512;
+    const UNITS: u64 = 336;
+    const FAILED: u16 = 2;
+    const WRITERS: usize = 4;
+    let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
+    let dir = fresh_dir("window-race");
+    // The plans slow every read once the disk is replaced, so each
+    // window's survivor reads take long enough for writes to meet them.
+    let plans: Vec<Arc<FaultPlan>> = (0..spec.disks())
+        .map(|i| FaultPlan::new(i as u64 + 1))
+        .collect();
+    let factory = |i: u16, file: std::fs::File| -> Box<dyn DiskBackend> {
+        Box::new(FaultyBackend::new(
+            Box::new(FileBackend::new(file)),
+            Arc::clone(&plans[i as usize]),
+        ))
+    };
+    let store =
+        BlockStore::create_with_backend(&dir, spec, UNITS, UB as u32, 0xFA14, &factory).unwrap();
+    let data_units = store.data_units();
+    let unit =
+        |u: u64, g: u64| -> Vec<u8> { content(u, g, UNIT_BYTES).into_iter().take(UB).collect() };
+    for u in 0..data_units {
+        store.write_unit(u, &unit(u, 0)).unwrap();
+    }
+    // Every data unit of the stripes the first four windows rebuild:
+    // the lost data units themselves, and the peers whose writes fold
+    // into a lost parity.
+    let mapping = store.mapping();
+    let mut targets: Vec<u64> = (0..64)
+        .filter_map(|off| mapping.role_at(FAILED, off).stripe())
+        .flat_map(|stripe| mapping.stripe_units(stripe))
+        .filter_map(|u| mapping.addr_to_logical(u))
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
+    store.fail_disk(FAILED).unwrap();
+    store.replace_disk().unwrap();
+    for p in &plans {
+        p.set_read_latency(LatencyProfile::limping(200, 100));
+    }
+
+    // The writers start with the rebuild, so the first windows meet
+    // lost units that no user write has landed on the replacement yet.
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(WRITERS + 1);
+    let final_gens: Vec<HashMap<u64, u64>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (store, stop, start, targets) = (&store, &stop, &start, &targets);
+                s.spawn(move || {
+                    let mut gens = HashMap::new();
+                    let owned: Vec<u64> =
+                        targets.iter().copied().skip(w).step_by(WRITERS).collect();
+                    start.wait();
+                    for (round, u) in (1u64..4096).flat_map(|r| owned.iter().map(move |&u| (r, u)))
+                    {
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        store.write_unit(u, &unit(u, round)).unwrap();
+                        gens.insert(u, round);
+                    }
+                    gens
+                })
+            })
+            .collect();
+        start.wait();
+        let report = store.rebuild(1).unwrap();
+        stop.store(true, Ordering::Release);
+        assert_eq!(report.failed_disks, vec![FAILED]);
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut oracle = DataArray::new(spec.build().unwrap(), UNITS, UB).unwrap();
+    for u in 0..data_units {
+        oracle.write(u, &unit(u, 0));
+    }
+    for (u, g) in final_gens.into_iter().flatten() {
+        oracle.write(u, &unit(u, g));
+    }
+    assert!(store.failed_disks().is_empty());
+    store.verify_parity().unwrap();
+    let mut buf = vec![0u8; UB];
+    for u in 0..data_units {
+        store.read_unit(u, &mut buf).unwrap();
+        assert_eq!(buf, oracle.read(u), "unit {u} diverged from the oracle");
+    }
+    store.close().unwrap();
 }

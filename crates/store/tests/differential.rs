@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::content;
+use common::{content, fresh_dir, TempDir};
 use decluster_array::data::DataArray;
 use decluster_array::{ArrayConfig, ArraySim};
 use decluster_core::design::BlockDesign;
@@ -16,36 +16,28 @@ use decluster_sim::SimTime;
 use decluster_store::{BlockStore, LayoutSpec, BLOCK_BYTES};
 use decluster_workload::trace::Trace;
 use decluster_workload::{AccessKind, UserRequest, Workload, WorkloadSpec};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const UNITS_PER_DISK: u64 = 32;
 const UNIT_BYTES: usize = 1024; // two blocks per unit, to exercise splices
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-store-differential")
-        .join(format!("{name}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    dir
-}
 
 fn oracle() -> DataArray {
     let layout = Arc::new(DeclusteredLayout::new(BlockDesign::complete(5, 4).unwrap()).unwrap());
     DataArray::new(layout, UNITS_PER_DISK, UNIT_BYTES).unwrap()
 }
 
-fn store(name: &str) -> BlockStore {
-    BlockStore::create(
-        &fresh_dir(name),
+/// A fresh store, and the directory it lives in.
+fn store(name: &str) -> (BlockStore, TempDir) {
+    let dir = fresh_dir(name);
+    let store = BlockStore::create(
+        &dir,
         LayoutSpec::Complete { disks: 5, group: 4 },
         UNITS_PER_DISK,
         UNIT_BYTES as u32,
         0xD1FF,
     )
-    .unwrap()
+    .unwrap();
+    (store, dir)
 }
 
 fn record_trace(data_units: u64, seed: u64, secs: u64) -> Trace {
@@ -96,7 +88,7 @@ fn assert_identical(store: &BlockStore, oracle: &DataArray, label: &str) {
 
 #[test]
 fn fault_free_replay_is_byte_identical() {
-    let store = store("fault-free");
+    let (store, _dir) = store("fault-free");
     let mut oracle = oracle();
     assert_eq!(store.data_units(), oracle.data_units());
     let trace = record_trace(store.data_units(), 11, 30);
@@ -146,7 +138,7 @@ fn fault_free_replay_is_byte_identical() {
 #[test]
 fn full_stripe_requests_are_byte_identical() {
     const DATA_PER_STRIPE: u64 = 3; // G − 1 for Complete(5, 4)
-    let store = store("full-stripe");
+    let (store, _dir) = store("full-stripe");
     let mut oracle = oracle();
     let bpu = (UNIT_BYTES / BLOCK_BYTES as usize) as u64;
     let spec = WorkloadSpec::half_and_half(120.0).with_access_units(2 * DATA_PER_STRIPE);
@@ -224,14 +216,10 @@ fn pq_two_disk_failure_replay_is_byte_identical() {
     for a in 0..5u16 {
         for b in (a + 1)..5u16 {
             let pair = (a * 5 + b) as u64;
-            let store = BlockStore::create(
-                &fresh_dir(&format!("pq-{a}-{b}")),
-                spec,
-                UNITS_PER_DISK,
-                UNIT_BYTES as u32,
-                0xD1FF ^ pair,
-            )
-            .unwrap();
+            let dir = fresh_dir(&format!("pq-{a}-{b}"));
+            let store =
+                BlockStore::create(&dir, spec, UNITS_PER_DISK, UNIT_BYTES as u32, 0xD1FF ^ pair)
+                    .unwrap();
             let mut oracle =
                 DataArray::new(spec.build().unwrap(), UNITS_PER_DISK, UNIT_BYTES).unwrap();
             assert_eq!(store.data_units(), oracle.data_units());
@@ -267,7 +255,7 @@ fn pq_two_disk_failure_replay_is_byte_identical() {
 
 #[test]
 fn degraded_replay_is_byte_identical() {
-    let store = store("degraded");
+    let (store, _dir) = store("degraded");
     let mut oracle = oracle();
     // Prefill every unit, then lose a disk mid-history in both worlds.
     for logical in 0..store.data_units() {
@@ -286,7 +274,7 @@ fn degraded_replay_is_byte_identical() {
 
 #[test]
 fn post_rebuild_replay_is_byte_identical() {
-    let store = store("post-rebuild");
+    let (store, _dir) = store("post-rebuild");
     let mut oracle = oracle();
     for logical in 0..store.data_units() {
         let data = content(logical, 3_000_000, UNIT_BYTES);
@@ -323,7 +311,7 @@ fn post_rebuild_replay_is_byte_identical() {
 /// one unit at a time.
 #[test]
 fn multi_unit_block_reads_with_partial_ends_are_byte_identical() {
-    let store = store("block-spans");
+    let (store, _dir) = store("block-spans");
     let mut oracle = oracle();
     for logical in 0..store.data_units() {
         let data = content(logical, 3_000_000, UNIT_BYTES);

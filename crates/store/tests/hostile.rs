@@ -6,43 +6,35 @@
 
 mod common;
 
-use common::content;
+use common::{content, fresh_dir, TempDir};
+use decluster_core::layout::UnitAddr;
 use decluster_store::checksum::region_bytes;
 use decluster_store::{
     BlockStore, DiskBackend, FaultPlan, FaultyBackend, FileBackend, LatencyProfile, LayoutSpec,
     MediaKind, StoreError, SUPERBLOCK_BYTES,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const DISKS: u16 = 5;
 const SPEC: LayoutSpec = LayoutSpec::Complete { disks: 5, group: 4 };
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-store-hostile")
-        .join(format!("{name}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    dir
-}
 
 /// Byte position of the unit at `offset` within its backing file.
 fn unit_pos(units_per_disk: u64, offset: u64, unit_bytes: usize) -> u64 {
     SUPERBLOCK_BYTES + region_bytes(units_per_disk) + offset * unit_bytes as u64
 }
 
-/// A store whose every disk runs through a [`FaultyBackend`], plus the
-/// per-disk plans steering them. Injection is scoped to the data area.
+/// A store of layout `spec` whose every disk runs through a
+/// [`FaultyBackend`], the per-disk plans steering them, and the
+/// directory it lives in. Injection is scoped to the data area.
 fn faulty_store(
+    spec: LayoutSpec,
     name: &str,
     units_per_disk: u64,
     unit_bytes: usize,
     seed: u64,
-) -> (BlockStore, Vec<Arc<FaultPlan>>) {
+) -> (BlockStore, Vec<Arc<FaultPlan>>, TempDir) {
     let dir = fresh_dir(name);
-    let plans: Vec<Arc<FaultPlan>> = (0..DISKS)
+    let plans: Vec<Arc<FaultPlan>> = (0..spec.disks())
         .map(|i| FaultPlan::new(seed.wrapping_add(i as u64).wrapping_mul(0x0101)))
         .collect();
     let data_start = SUPERBLOCK_BYTES + region_bytes(units_per_disk);
@@ -57,14 +49,14 @@ fn faulty_store(
     };
     let store = BlockStore::create_with_backend(
         &dir,
-        SPEC,
+        spec,
         units_per_disk,
         unit_bytes as u32,
         0xBAD,
         &factory,
     )
     .unwrap();
-    (store, plans)
+    (store, plans, dir)
 }
 
 fn fill(store: &BlockStore, unit_bytes: usize, tag: u64) {
@@ -91,7 +83,7 @@ fn assert_contents(store: &BlockStore, unit_bytes: usize, tag: u64, label: &str)
 fn silent_corruption_is_detected_and_read_repaired() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("read-repair", UNITS, UB, 0xC0);
+    let (store, plans, _dir) = faulty_store(SPEC, "read-repair", UNITS, UB, 0xC0);
     fill(&store, UB, 0);
 
     // Arm a one-shot bit flip under the next write of logical unit 7,
@@ -129,7 +121,7 @@ fn silent_corruption_is_detected_and_read_repaired() {
 fn transient_eio_accounting_balances_retries_against_injections() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("transient", UNITS, UB, 0x7E57);
+    let (store, plans, _dir) = faulty_store(SPEC, "transient", UNITS, UB, 0x7E57);
     fill(&store, UB, 1);
     for p in &plans {
         p.set_transient_read_eio(0.05);
@@ -161,7 +153,7 @@ fn transient_eio_accounting_balances_retries_against_injections() {
 fn degraded_survivor_media_error_escalates_typed_never_wrong_bytes() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("double-fault", UNITS, UB, 0xDF);
+    let (store, plans, _dir) = faulty_store(SPEC, "double-fault", UNITS, UB, 0xDF);
     fill(&store, UB, 2);
 
     // Stripe anatomy: lose the disk under one data unit, poison a
@@ -222,7 +214,7 @@ fn degraded_survivor_media_error_escalates_typed_never_wrong_bytes() {
 fn error_budget_demotes_the_sick_disk_and_rebuild_recovers() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("demotion", UNITS, UB, 0xB0D);
+    let (store, plans, _dir) = faulty_store(SPEC, "demotion", UNITS, UB, 0xB0D);
     fill(&store, UB, 3);
     store.set_error_budget(3);
 
@@ -279,7 +271,7 @@ fn torn_checksum_region_write_does_not_brick_the_store() {
     const UNITS: u64 = 512; // big enough that the region's torn half holds live slots
     const UB: usize = 512;
     let name = "torn-region";
-    let (store, plans) = faulty_store(name, UNITS, UB, 0x70);
+    let (store, plans, _dir) = faulty_store(SPEC, name, UNITS, UB, 0x70);
     let dir = store.dir().to_path_buf();
     fill(&store, UB, 4);
 
@@ -324,7 +316,7 @@ fn torn_checksum_region_write_does_not_brick_the_store() {
 fn limping_disk_trips_hedged_reads_that_still_return_right_bytes() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("limping", UNITS, UB, 0x11);
+    let (store, plans, _dir) = faulty_store(SPEC, "limping", UNITS, UB, 0x11);
     fill(&store, UB, 5);
 
     // One disk starts answering reads 3 ms late. After enough samples
@@ -402,7 +394,7 @@ fn mid_run_unit(store: &BlockStore) -> u64 {
 fn transient_eio_inside_runs_resolves_by_retrying_the_run() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("transient-runs", UNITS, UB, 0x7E58);
+    let (store, plans, _dir) = faulty_store(SPEC, "transient-runs", UNITS, UB, 0x7E58);
     fill(&store, UB, 6);
     for p in &plans {
         p.set_transient_read_eio(0.05);
@@ -429,7 +421,7 @@ fn transient_eio_inside_runs_resolves_by_retrying_the_run() {
 fn persistent_bad_sector_inside_a_run_is_repaired_once() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("bad-sector-run", UNITS, UB, 0xBAD5);
+    let (store, plans, _dir) = faulty_store(SPEC, "bad-sector-run", UNITS, UB, 0xBAD5);
     fill(&store, UB, 7);
     let victim = store.mapping().logical_to_addr(mid_run_unit(&store));
     plans[victim.disk as usize].add_bad_sector(unit_pos(UNITS, victim.offset, UB));
@@ -465,7 +457,7 @@ fn persistent_bad_sector_inside_a_run_is_repaired_once() {
 fn corruption_under_a_run_unit_is_read_repaired_once() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("corrupt-run", UNITS, UB, 0xC1);
+    let (store, plans, _dir) = faulty_store(SPEC, "corrupt-run", UNITS, UB, 0xC1);
     fill(&store, UB, 8);
     let logical = mid_run_unit(&store);
     let addr = store.mapping().logical_to_addr(logical);
@@ -487,7 +479,7 @@ fn corruption_under_a_run_unit_is_read_repaired_once() {
 fn limping_disk_read_only_through_large_reads_is_flagged_and_hedged() {
     const UNITS: u64 = 32;
     const UB: usize = 1024;
-    let (store, plans) = faulty_store("limping-runs", UNITS, UB, 0x12);
+    let (store, plans, _dir) = faulty_store(SPEC, "limping-runs", UNITS, UB, 0x12);
     fill(&store, UB, 9);
     // Each run read on the limper is one 3 ms sample of its EWMA, not
     // 3 ms spread over the run's units.
@@ -521,7 +513,7 @@ fn fault_free_large_reads_flag_no_disk() {
     const UNITS: u64 = 64;
     const UB: usize = 1024;
     const SPAN: u64 = 192;
-    let (store, _plans) = faulty_store("quiet-runs", UNITS, UB, 0x13);
+    let (store, _plans, _dir) = faulty_store(SPEC, "quiet-runs", UNITS, UB, 0x13);
     fill(&store, UB, 10);
     let image: Vec<u8> = (0..store.data_units())
         .flat_map(|l| content(l, 10, UB))
@@ -546,4 +538,141 @@ fn fault_free_large_reads_flag_no_disk() {
     let c = store.fault_counters();
     assert_eq!(c.hedged_reads, 0, "{c:?}");
     store.close().unwrap();
+}
+
+/// A data unit the rebuild of `failed` reads inside a survivor run of
+/// two or more units.
+fn survivor_inside_a_run(store: &BlockStore, failed: u16) -> UnitAddr {
+    let (survivor_runs, _) = common::rebuild_runs(store.mapping(), failed);
+    survivor_runs
+        .iter()
+        .filter(|run| run.len() > 1)
+        .flatten()
+        .copied()
+        .find(|u| !store.mapping().role_at(u.disk, u.offset).is_parity())
+        .expect("no data unit inside a survivor run")
+}
+
+/// Rewrites `victim`'s logical unit with the same contents, a bit of
+/// it flipped on the way to the medium: the checksum table keeps the
+/// intended bytes, the disk holds wrong ones.
+fn corrupt_in_flight(
+    store: &BlockStore,
+    plans: &[Arc<FaultPlan>],
+    victim: UnitAddr,
+    units: u64,
+    unit_bytes: usize,
+    tag: u64,
+) {
+    let logical = store.mapping().addr_to_logical(victim).unwrap();
+    plans[victim.disk as usize].arm_corruption(unit_pos(units, victim.offset, unit_bytes));
+    store
+        .write_unit(logical, &content(logical, tag, unit_bytes))
+        .unwrap();
+    assert_eq!(plans[victim.disk as usize].injected().corruptions, 1);
+}
+
+#[test]
+fn transient_eio_inside_survivor_runs_resolves_by_retrying_the_run() {
+    const UNITS: u64 = 64;
+    const UB: usize = 1024;
+    const FAILED: u16 = 1;
+    let (store, plans, _dir) = faulty_store(SPEC, "transient-rebuild", UNITS, UB, 0x7E59);
+    fill(&store, UB, 11);
+    store.fail_disk(FAILED).unwrap();
+    store.replace_disk().unwrap();
+    let (survivor_runs, _) = common::rebuild_runs(store.mapping(), FAILED);
+    assert!(survivor_runs.iter().any(|run| run.len() > 1));
+
+    // Every first read of a position fails once: each survivor call is
+    // one detection, and retrying that same call clears it.
+    for p in &plans {
+        p.set_transient_read_eio(1.0);
+    }
+    store.rebuild(1).unwrap();
+    for p in &plans {
+        p.quiesce();
+    }
+    let injected: u64 = plans.iter().map(|p| p.injected().transient_eio).sum();
+    assert_eq!(injected, survivor_runs.len() as u64, "one episode per run");
+    let c = store.fault_counters();
+    assert_eq!(c.media_errors, injected, "{c:?}");
+    assert_eq!(c.retry_successes, injected, "{c:?}");
+    assert_eq!(c.checksum_errors, 0, "{c:?}");
+    assert_eq!(c.repaired, 0, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    assert!(store.failed_disks().is_empty());
+    assert_contents(&store, UB, 11, "after a rebuild under transient EIO");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+#[test]
+fn corrupt_survivor_inside_a_rebuild_run_is_repaired_once_on_pq() {
+    const UNITS: u64 = 64;
+    const UB: usize = 1024;
+    const FAILED: u16 = 4;
+    let spec: LayoutSpec = "pq:c10g5".parse().unwrap();
+    let (store, plans, _dir) = faulty_store(spec, "corrupt-survivor-pq", UNITS, UB, 0xC2);
+    fill(&store, UB, 12);
+    let victim = survivor_inside_a_run(&store, FAILED);
+    corrupt_in_flight(&store, &plans, victim, UNITS, UB, 12);
+    store.fail_disk(FAILED).unwrap();
+    store.replace_disk().unwrap();
+
+    // Q still covers the victim's stripe: the mismatch is detected
+    // once, repaired from its peers once, and the rebuild finishes.
+    store.rebuild(1).unwrap();
+    let c = store.fault_counters();
+    assert_eq!(c.checksum_errors, 1, "{c:?}");
+    assert_eq!(c.repaired, 1, "{c:?}");
+    assert_eq!(c.media_errors, 0, "{c:?}");
+    assert_eq!(c.escalated, 0, "{c:?}");
+    assert!(store.failed_disks().is_empty());
+    assert_contents(&store, UB, 12, "after repairing a survivor mid-rebuild");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+#[test]
+fn corrupt_survivor_inside_a_rebuild_run_escalates_typed_on_single_parity() {
+    const UNITS: u64 = 168;
+    const UB: usize = 512;
+    const FAILED: u16 = 4;
+    let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
+    let (store, plans, _dir) = faulty_store(spec, "corrupt-survivor-bibd", UNITS, UB, 0xC3);
+    fill(&store, UB, 13);
+    let victim = survivor_inside_a_run(&store, FAILED);
+    corrupt_in_flight(&store, &plans, victim, UNITS, UB, 13);
+    store.fail_disk(FAILED).unwrap();
+    store.replace_disk().unwrap();
+
+    // With the victim's stripe already short a member, nothing can
+    // repair it: the rebuild stops with a typed error.
+    let err = store.rebuild(1).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::Media {
+                kind: MediaKind::Checksum,
+                ..
+            }
+        ),
+        "expected a typed checksum escalation, got: {err}"
+    );
+    assert_eq!(store.failed_disks(), vec![FAILED]);
+    // Every read answers the written bytes or a typed error, and the
+    // victim's own read is an error.
+    let mut buf = vec![0u8; UB];
+    let victim_logical = store.mapping().addr_to_logical(victim).unwrap();
+    for logical in 0..store.data_units() {
+        match store.read_unit(logical, &mut buf) {
+            Ok(()) => assert_eq!(buf, content(logical, 13, UB), "unit {logical}"),
+            Err(e) => assert!(matches!(e, StoreError::Media { .. }), "unit {logical}: {e}"),
+        }
+    }
+    assert!(store.read_unit(victim_logical, &mut buf).is_err());
+    let c = store.fault_counters();
+    assert_eq!(c.repaired, 0, "{c:?}");
+    assert!(c.escalated >= 1, "{c:?}");
 }

@@ -1,19 +1,20 @@
 //! Hot-path guarantees: the full-stripe fast path's I/O budget
 //! (exactly G writes, zero reads), its byte-equivalence to the
 //! unit-at-a-time RMW path, the multi-unit read's budget (one backend
-//! read per maximal per-disk run), the exact syncs and durable writes
-//! of `fail_disk` and of a loaded rebuild, and byte-correctness under
+//! read per maximal per-disk run), the rebuild's budget (one backend
+//! call per survivor run and per replacement run of each window, one
+//! decode per stripe), the exact syncs and durable writes of
+//! `fail_disk` and of a loaded rebuild, and byte-correctness under
 //! concurrent writers hammering overlapping stripes.
 
 mod common;
 
-use common::content;
+use common::{content, fresh_dir, TempDir};
 use decluster_array::data::DataArray;
 use decluster_core::design::BlockDesign;
 use decluster_core::layout::DeclusteredLayout;
 use decluster_store::{BlockStore, DiskBackend, FileBackend, LayoutSpec, BLOCK_BYTES};
 use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -23,19 +24,11 @@ const DISKS: u16 = 5;
 const GROUP: u16 = 4;
 const DATA_PER_STRIPE: u64 = (GROUP - 1) as u64;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-store-hot-path")
-        .join(format!("{name}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    dir
-}
-
-fn store(name: &str) -> BlockStore {
-    BlockStore::create(
-        &fresh_dir(name),
+/// A fresh store, and the directory it lives in.
+fn store(name: &str) -> (BlockStore, TempDir) {
+    let dir = fresh_dir(name);
+    let store = BlockStore::create(
+        &dir,
         LayoutSpec::Complete {
             disks: DISKS,
             group: GROUP,
@@ -44,7 +37,8 @@ fn store(name: &str) -> BlockStore {
         UNIT_BYTES as u32,
         0xFA57,
     )
-    .unwrap()
+    .unwrap();
+    (store, dir)
 }
 
 fn oracle() -> DataArray {
@@ -57,7 +51,7 @@ fn oracle() -> DataArray {
 /// data units of a stripe costs exactly G disk writes and zero reads.
 #[test]
 fn full_stripe_write_costs_g_writes_zero_reads() {
-    let store = store("budget");
+    let (store, _dir) = store("budget");
     let bpu = (UNIT_BYTES / BLOCK_BYTES as usize) as u64;
     // One whole stripe, aligned to a stripe boundary.
     let data: Vec<u8> = (0..DATA_PER_STRIPE)
@@ -128,8 +122,8 @@ fn full_stripe_write_costs_g_writes_zero_reads() {
 /// backing files — superblocks, data, and parity placement included.
 #[test]
 fn fast_path_and_unit_path_disks_are_byte_identical() {
-    let fast = store("fast");
-    let slow = store("slow");
+    let (fast, _fast_dir) = store("fast");
+    let (slow, _slow_dir) = store("slow");
     let data_units = fast.data_units();
     // Whole-device write: the fast store takes one stripe-aligned
     // extent at a time, the slow store writes unit by unit.
@@ -157,7 +151,7 @@ fn fast_path_and_unit_path_disks_are_byte_identical() {
 /// outcome is order-independent); the result must match the oracle.
 #[test]
 fn concurrent_writers_match_oracle() {
-    let store = store("concurrent");
+    let (store, _dir) = store("concurrent");
     let mut oracle = oracle();
     let data_units = store.data_units();
     const WRITERS: u64 = 8;
@@ -327,15 +321,10 @@ fn aligned_large_read_costs_one_backend_read_per_disk_run() {
             .map(|c| c.reads.load(Ordering::Relaxed))
             .sum()
     };
-    let store = BlockStore::create_with_backend(
-        &fresh_dir("run-reads"),
-        spec,
-        16_800,
-        UB as u32,
-        0x5EAD,
-        &counted.factory(),
-    )
-    .unwrap();
+    let dir = fresh_dir("run-reads");
+    let store =
+        BlockStore::create_with_backend(&dir, spec, 16_800, UB as u32, 0x5EAD, &counted.factory())
+            .unwrap();
     let bpu = (UB / BLOCK_BYTES as usize) as u64;
     for first in [0u64, 3 * UNITS] {
         let data: Vec<u8> = (first..first + UNITS)
@@ -502,6 +491,138 @@ fn admin_transitions_sync_exactly_what_they_rely_on() {
         sync < first_healthy,
         "the replacement must be durable before a superblock declares it whole: {log:?}"
     );
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+/// A one-worker rebuild reads each window's survivors with one backend
+/// call per maximal run of adjacent offsets on one disk, and writes
+/// each window's lost units the same way, while every disk's unit
+/// counters still count exactly the units a per-unit decode reads:
+/// α of each survivor, and all of the replacement.
+#[test]
+fn rebuild_costs_one_backend_call_per_run() {
+    const UB: usize = 512;
+    const UNITS: u64 = 16_800;
+    const FAILED: u16 = 3;
+    let spec: LayoutSpec = "bibd:c10g4".parse().unwrap();
+    let counted = Counted::new(spec.disks());
+    let dir = fresh_dir("rebuild-runs");
+    let store =
+        BlockStore::create_with_backend(&dir, spec, UNITS, UB as u32, 0x4B1D, &counted.factory())
+            .unwrap();
+    let band: Vec<u8> = (0..UNITS)
+        .flat_map(|u| content(u, 5, UNIT_BYTES).into_iter().take(UB))
+        .collect();
+    store.write_blocks(0, &band).unwrap();
+
+    let (survivor_runs, replacement_runs) = common::rebuild_runs(store.mapping(), FAILED);
+    assert_eq!(survivor_runs.len(), 14_750, "survivor runs");
+    assert_eq!(replacement_runs.len(), 1_050, "replacement runs");
+    let mut per_disk = vec![0u64; spec.disks() as usize];
+    for u in survivor_runs.iter().flatten() {
+        per_disk[u.disk as usize] += 1;
+    }
+
+    store.fail_disk(FAILED).unwrap();
+    store.replace_disk().unwrap();
+    let calls = |d: u16| {
+        let c = &counted.calls[d as usize];
+        (
+            c.reads.load(Ordering::Relaxed),
+            c.writes.load(Ordering::Relaxed),
+        )
+    };
+    let before: Vec<(u64, u64)> = (0..spec.disks()).map(calls).collect();
+    let report = store.rebuild(1).unwrap();
+    let delta: Vec<(u64, u64)> = (0..spec.disks())
+        .map(|d| {
+            let (r, w) = calls(d);
+            (r - before[d as usize].0, w - before[d as usize].1)
+        })
+        .collect();
+    let survivor_reads: u64 = delta.iter().map(|&(r, _)| r).sum();
+    assert_eq!(survivor_reads, survivor_runs.len() as u64, "read_at calls");
+    // One more write: the replacement's checksum region.
+    assert_eq!(
+        delta[FAILED as usize],
+        (0, replacement_runs.len() as u64 + 1),
+        "replacement (read_at, write_at) calls"
+    );
+    for d in (0..spec.disks()).filter(|&d| d != FAILED) {
+        assert_eq!(delta[d as usize].1, 0, "disk {d} write_at calls");
+        assert_eq!(
+            report.disk_reads[d as usize], per_disk[d as usize],
+            "disk {d} unit reads"
+        );
+        assert_eq!(
+            per_disk[d as usize],
+            UNITS / 3,
+            "disk {d}: α = 1/3 of its units"
+        );
+    }
+    assert_eq!(report.disk_reads[FAILED as usize], 0);
+    assert_eq!(report.disk_writes[FAILED as usize], UNITS);
+    assert_eq!(report.units_rebuilt, UNITS);
+
+    let mut back = vec![0u8; band.len()];
+    store.read_blocks(0, &mut back).unwrap();
+    assert!(back == band, "rebuilt array returned wrong bytes");
+    store.verify_parity().unwrap();
+    store.close().unwrap();
+}
+
+/// A P+Q rebuild of two failed disks decodes each stripe once: a stripe
+/// that lost a unit on each disk installs both from one pass over its
+/// survivors. Every decode of a `pq:c10g5` stripe reads G − 2 = 3
+/// units, whichever one or two members it lost, so the rebuild reads
+/// exactly 3 units per distinct stripe it touches.
+#[test]
+fn pq_two_disk_rebuild_decodes_each_stripe_once() {
+    const UB: usize = 512;
+    const UNITS: u64 = 200;
+    const FAILED: [u16; 2] = [2, 7];
+    let spec: LayoutSpec = "pq:c10g5".parse().unwrap();
+    let dir = fresh_dir("pq-two-disk-rebuild");
+    let store = BlockStore::create(&dir, spec, UNITS, UB as u32, 0x9D).unwrap();
+    let unit = |u: u64| -> Vec<u8> { content(u, 6, UNIT_BYTES).into_iter().take(UB).collect() };
+    for u in 0..store.data_units() {
+        store.write_unit(u, &unit(u)).unwrap();
+    }
+    let mapping = store.mapping();
+    let mut stripes: Vec<u64> = FAILED
+        .iter()
+        .flat_map(|&d| (0..UNITS).filter_map(move |off| mapping.role_at(d, off).stripe()))
+        .collect();
+    let visits = stripes.len();
+    stripes.sort_unstable();
+    stripes.dedup();
+    assert!(stripes.len() < visits, "no stripe lost two members");
+
+    for d in FAILED {
+        store.fail_disk(d).unwrap();
+    }
+    store.replace_disk().unwrap();
+    let report = store.rebuild(1).unwrap();
+    assert_eq!(report.failed_disks, FAILED);
+    assert_eq!(
+        report.disk_reads.iter().sum::<u64>(),
+        3 * stripes.len() as u64,
+        "survivor units read"
+    );
+    let mapped = store.mapped_units_per_disk();
+    for d in FAILED {
+        assert_eq!(report.disk_reads[d as usize], 0);
+        assert_eq!(
+            report.disk_writes[d as usize], mapped[d as usize],
+            "disk {d}"
+        );
+    }
+    let mut back = vec![0u8; UB];
+    for u in 0..store.data_units() {
+        store.read_unit(u, &mut back).unwrap();
+        assert_eq!(back, unit(u), "unit {u}");
+    }
     store.verify_parity().unwrap();
     store.close().unwrap();
 }

@@ -7,18 +7,10 @@
 //! tables — no unmapped holes, and the per-disk rebuild read counts
 //! come out at α of the disk exactly, not just asymptotically.
 
-use decluster_store::{BlockStore, LayoutSpec};
-use std::path::PathBuf;
+mod common;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("decluster-store-alpha")
-        .join(format!("{name}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    dir
-}
+use common::fresh_dir;
+use decluster_store::{BlockStore, LayoutSpec};
 
 #[test]
 fn rebuild_reads_alpha_of_each_surviving_disk() {
@@ -26,7 +18,8 @@ fn rebuild_reads_alpha_of_each_surviving_disk() {
         disks: 10,
         group: 4,
     };
-    let store = BlockStore::create(&fresh_dir("c10-g4"), spec, 336, 512, 77).unwrap();
+    let dir = fresh_dir("c10-g4");
+    let store = BlockStore::create(&dir, spec, 336, 512, 77).unwrap();
     let alpha = spec.alpha();
     assert!((alpha - 1.0 / 3.0).abs() < 1e-12);
 
@@ -75,7 +68,8 @@ fn raid5_rebuild_reads_every_surviving_disk_fully() {
     // The contrast case the paper draws: RAID 5 (α = 1) reads all of
     // every surviving disk.
     let spec = LayoutSpec::Raid5 { disks: 5 };
-    let store = BlockStore::create(&fresh_dir("raid5"), spec, 40, 512, 78).unwrap();
+    let dir = fresh_dir("raid5");
+    let store = BlockStore::create(&dir, spec, 40, 512, 78).unwrap();
     assert!((spec.alpha() - 1.0).abs() < 1e-12);
     for logical in 0..store.data_units() {
         store

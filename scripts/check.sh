@@ -5,7 +5,9 @@
 # scrub/crash arms, one at default scale), a file-backed store smoke
 # cycle, and a network block service smoke (sessioned clients through
 # fail + rebuild). It checks correctness only and writes only to a
-# temp dir; performance is measured by benchmark/.
+# temp dir; the test suite runs with TMPDIR set to a fresh directory
+# and must leave no backing files in it. Performance is measured by
+# benchmark/.
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -21,8 +23,14 @@ echo "==> benchmark build (fails on a pub item it uses going away, or on a lockf
 CARGO_TARGET_DIR=target/benchmark cargo build --release --offline --locked \
     --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q (in a fresh TMPDIR, which it must leave with no decluster-* in it)"
+TEST_TMPDIR="$(mktemp -d)"
+trap 'rm -rf "$TEST_TMPDIR"' EXIT
+TMPDIR="$TEST_TMPDIR" cargo test -q
+left="$(find "$TEST_TMPDIR" -mindepth 1 -maxdepth 1 -name 'decluster-*')"
+if [ -n "$left" ]; then
+    echo "the tests left backing files behind:"; echo "$left"; exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -31,7 +39,7 @@ echo "==> cargo doc --workspace --no-deps (warnings are errors: broken intra-doc
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 SCRUB_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCRUB_SMOKE_DIR"' EXIT
+trap 'rm -rf "$TEST_TMPDIR" "$SCRUB_SMOKE_DIR"' EXIT
 
 echo "==> campaign smoke (tiny Monte Carlo data-loss campaign + replay, all arms)"
 cargo run --release -q -p decluster-bench --bin campaign -- \

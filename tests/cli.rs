@@ -57,11 +57,12 @@ fn export_round_trips_through_check() {
         "summary on stderr: {stderr}"
     );
     assert!(table.starts_with("decluster-layout v1"), "clean stdout");
-    let dir = std::env::temp_dir().join("decluster-cli-test");
+    let dir = std::env::temp_dir().join(format!("decluster-cli-export-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g4.layout");
     std::fs::write(&path, &table).unwrap();
     let (out, _, ok) = decluster(&["check", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
     assert!(ok);
     assert!(out.contains("criteria 1-3: hold"), "{out}");
 }
@@ -87,11 +88,12 @@ fn layout_check_exits_nonzero_on_violation() {
 
 #[test]
 fn check_rejects_garbage() {
-    let dir = std::env::temp_dir().join("decluster-cli-test");
+    let dir = std::env::temp_dir().join(format!("decluster-cli-garbage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("garbage.layout");
     std::fs::write(&path, "not a layout\n").unwrap();
     let (_, err, ok) = decluster(&["check", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
     assert!(!ok);
     assert!(err.contains("bad magic"), "{err}");
 }
